@@ -1,0 +1,53 @@
+"""Golden CLI outputs: the case list, and the script that rewrites them.
+
+``tests/test_golden.py`` compares the current stdout of every case below,
+byte for byte, with the file of the same name in this directory.  Goldens
+are never edited by hand; to rewrite them all, at a commit whose outputs
+are known to be right, run from the repository root::
+
+    PYTHONPATH=src python tests/golden/capture.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+from pathlib import Path
+
+from hodgekit.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent
+PRESETS = ("k3_enriques", "enriques", "k3")
+SIZES = (2, 5, 8)
+OPERATIONS = (("hilb",), ("sym",), ("quotient", "Sn"), ("quotient", "G"),
+              ("quotient", "H"))
+
+
+def cases() -> list[tuple[str, list[str]]]:
+    """(golden file name, CLI argv) for every captured output."""
+    out = [("verify-paper-n6.json",
+            ["verify-paper", "--n-max", "6", "--format", "json"])]
+    for preset in PRESETS:
+        for op, *group in OPERATIONS:
+            for n in SIZES:
+                name = "-".join(["diamond", preset, op, *group, str(n)]) + ".json"
+                argv = ["diamond", "--preset", preset, "--format", "json",
+                        op, str(n), *group]
+                out.append((name, argv))
+    return out
+
+
+def run_cli(argv: list[str]) -> str:
+    """stdout of one in-process CLI run; any nonzero exit is an error."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    if code != 0:
+        raise RuntimeError(f"hodgekit {' '.join(argv)} exited {code}")
+    return buf.getvalue()
+
+
+if __name__ == "__main__":
+    for name, argv in cases():
+        (GOLDEN_DIR / name).write_text(run_cli(argv), encoding="utf-8")
+        print(name)
