@@ -2,11 +2,13 @@
 points of surfaces, and quotients of n-fold products by signed-permutation
 groups, including the Calabi-Yau double covers arising from Enriques
 surfaces.  Everything is computed in arbitrary-precision integer arithmetic
-and audited against an independent brute-force projector."""
+and audited against independent routes: a class-sum trace average and a
+brute-force projector."""
 
 from .bigraded import (
     EquivHodgeTable,
     HodgeTable,
+    IntegralityViolation,
     NegativeIndex,
     OddCohomologyUnsupported,
     direct_sum,
@@ -45,18 +47,16 @@ from .group import (
 )
 from .hilbert import (
     MismatchReport,
-    Partition,
     euler_check,
     h_one_top,
     hilbert_diamond,
-    partitions,
 )
 from .invariants import (
-    IntegralityViolation,
     TracePolynomial,
+    class_sum_dims,
     class_trace,
     invariant_dims,
-    sym_multi,
+    sym_powers,
     sym_product,
 )
 from .oracle import apply_element, labeled_basis, projector_invariant_dims
@@ -74,13 +74,13 @@ __all__ = [
     "MismatchReport",
     "NegativeIndex",
     "OddCohomologyUnsupported",
-    "Partition",
     "SignedCycleType",
     "TooLarge",
     "TracePolynomial",
     "apply_element",
     "betti",
     "blowup_assemble",
+    "class_sum_dims",
     "class_trace",
     "classes",
     "cover_diamond_n2",
@@ -102,13 +102,12 @@ __all__ = [
     "labeled_basis",
     "load_surface_spec",
     "parse_surface_spec",
-    "partitions",
     "point",
     "preset",
     "projector_invariant_dims",
     "shift_by",
     "signed_cycle_type",
-    "sym_multi",
+    "sym_powers",
     "sym_product",
     "tate_twist",
     "tensor",

@@ -25,6 +25,14 @@ class OddCohomologyUnsupported(ValueError):
     """
 
 
+class IntegralityViolation(ArithmeticError):
+    """An exact division that must come out whole left a remainder.
+
+    Every such quotient here is a dimension or a class size, so a remainder
+    or a negative quotient signals an implementation bug, not bad input.
+    """
+
+
 class NegativeIndex(ValueError):
     """Raised when a degree shift would move an entry below (0, 0)."""
 
@@ -320,8 +328,10 @@ def parse_surface_spec(data) -> tuple[str, EquivHodgeTable]:
 
         {"name": str, "dimension": int, "hodge": [[p, q, d_plus, d_minus], ...]}
 
-    Raises ValueError on malformed input and OddCohomologyUnsupported on
-    entries of odd total degree.
+    Raises OddCohomologyUnsupported on entries of odd total degree, and
+    ValueError on malformed input or on a table no surface can have: an
+    entry beyond the dimension, or an eigenspace that breaks Hodge symmetry
+    h^{p,q} = h^{q,p} or Serre duality h^{p,q} = h^{d-p,d-q}.
     """
     if not isinstance(data, dict):
         raise ValueError("surface spec must be a JSON object")
@@ -343,7 +353,20 @@ def parse_surface_spec(data) -> tuple[str, EquivHodgeTable]:
         if (p, q) in entries:
             raise ValueError(f"surface spec: duplicate entry at ({p}, {q})")
         entries[(p, q)] = (d_plus, d_minus)
-    return name, EquivHodgeTable(entries, dimension)
+    table = EquivHodgeTable(entries, dimension)
+    for p, q in entries:
+        if p > dimension or q > dimension:
+            raise ValueError(
+                f"surface spec: entry at ({p}, {q}) exceeds dimension {dimension}")
+    for sign, part in (("+", table.plus_part()), ("-", table.minus_part())):
+        for (p, q), d in part.items():
+            for rule, (s, t) in (("Hodge symmetry", (q, p)),
+                                 ("Serre duality", (dimension - p, dimension - q))):
+                if part[s, t] != d:
+                    raise ValueError(
+                        f"surface spec: {rule} fails in the {sign} eigenspace: "
+                        f"h^({p},{q}) = {d} but h^({s},{t}) = {part[s, t]}")
+    return name, table
 
 
 def load_surface_spec(path) -> tuple[str, EquivHodgeTable]:

@@ -34,7 +34,7 @@ from .group import (
     slot_twist,
 )
 from .hilbert import euler_check, h_one_top, hilbert_diamond
-from .invariants import class_trace, invariant_dims, sym_product
+from .invariants import class_sum_dims, class_trace, invariant_dims, sym_product
 from .oracle import projector_invariant_dims
 
 PASS = "pass"
@@ -206,10 +206,11 @@ def run_paper_checks(n_max: int = 6) -> list[CheckResult]:
                    f"function for the {name} preset up to n={n_max}",
                    True, all(a == e for _, a, e in rows), "DERIVED"))
 
-    # Oracle equivalence of the two invariant paths.
+    # The symmetric-power engine against both audit routes.
     for n in (1, 2, 3):
         agree = all(
-            invariant_dims(table, n, which) == projector_invariant_dims(table, n, which)
+            invariant_dims(table, n, which) == class_sum_dims(table, n, which)
+            == projector_invariant_dims(table, n, which)
             for which in ("Sn", "G", "H")
         )
         add(_check(f"090-oracle-equiv-n{n}",

@@ -16,6 +16,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .bigraded import IntegralityViolation
+
 ENUMERATION_GUARD = 8
 
 GROUPS = ("G", "H")
@@ -207,7 +209,8 @@ def class_size(ct: SignedCycleType) -> int:
         num *= 2 ** ((length - 1) * mult)
         den *= length ** mult * math.factorial(mult)
     size, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise IntegralityViolation(f"class size {num}/{den} of {ct!r} is not whole")
     return size
 
 

@@ -1,20 +1,21 @@
 """Hodge diamonds of Hilbert schemes of points on a surface.
 
-The cohomology of the Hilbert scheme of n points decomposes, as a Hodge
-structure, into a sum over partitions of n of Tate-twisted cohomologies of
-products of symmetric products: a partition with multiplicities alpha and
-weight w = sum(alpha) contributes its (p, q) entry at (p + n - w, q + n - w).
-An independent Euler-characteristic cross-check against the classical
-product generating function prod_m (1 - q^m)^(-e) guards the assembly.
+All diamonds up to a given n are coefficients of one truncated product
+(Goettsche, Math. Ann. 286, 1990):
+
+    sum_n h(Hilb^n S) t^n = prod_{k>=1} sum_{a>=0} Sym^a(S) (uv)^((k-1)a) t^(ka),
+
+where (uv)^j shifts a diamond diagonally by j.  An independent
+Euler-characteristic cross-check against the classical product generating
+function prod_m (1 - q^m)^(-e) guards the assembly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .bigraded import HodgeTable
-from .invariants import sym_multi
+from .bigraded import HodgeTable, direct_sum, point, shift_by, tensor
+from .invariants import sym_powers
 
 
 class MismatchReport(RuntimeError):
@@ -30,66 +31,29 @@ class MismatchReport(RuntimeError):
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Partition:
-    """Multiplicity vector (a_1, ..., a_n) with sum i*a_i = n."""
-
-    alpha: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.alpha)
-        if any(a < 0 for a in self.alpha):
-            raise ValueError("multiplicities must be nonnegative")
-        if sum(i * a for i, a in enumerate(self.alpha, start=1)) != n:
-            raise ValueError(f"not a partition of {n}: {self.alpha!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.alpha)
-
-    @property
-    def weight(self) -> int:
-        """|alpha| = total number of parts."""
-        return sum(self.alpha)
-
-    def __repr__(self):
-        return f"Partition{self.alpha!r}"
-
-
-def partitions(n: int) -> list[Partition]:
-    """All partitions of n as multiplicity vectors, reverse-lexicographic."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    found: list[tuple[int, ...]] = []
-
-    def rec(i, remaining, acc):
-        if i > n:
-            if remaining == 0:
-                found.append(tuple(acc))
-            return
-        for a in range(remaining // i, -1, -1):
-            rec(i + 1, remaining - i * a, acc + [a])
-
-    rec(1, n, [])
-    found.sort(reverse=True)
-    return [Partition(alpha) for alpha in found]
+def _hilbert_series(surface: HodgeTable, n_max: int) -> list[HodgeTable]:
+    """Diamonds of Hilb^0..Hilb^n_max from one truncated Goettsche product."""
+    sym = sym_powers(surface, n_max)
+    empty = HodgeTable({}, 0)
+    series = [point()] + [empty] * n_max
+    for k in range(1, n_max + 1):
+        new = list(series)  # the a = 0 term of the k-th factor
+        for a in range(1, n_max // k + 1):
+            factor = shift_by(sym[a], (k - 1) * a)
+            for j in range(n_max - k * a + 1):
+                new[j + k * a] = direct_sum(new[j + k * a], tensor(series[j], factor))
+        series = new
+    # declare each dimension as n * dim(S), so the weight bound checks it
+    return [HodgeTable(dict(table.items()), n * surface.dimension)
+            for n, table in enumerate(series)]
 
 
 def hilbert_diamond(surface: HodgeTable, n: int) -> HodgeTable:
-    """Full Hodge diamond of the Hilbert scheme of n points.
-
-    Each partition contributes the diamond of its product of symmetric
-    products, shifted diagonally by n - weight.
-    """
+    """Full Hodge diamond of the Hilbert scheme of n points: the t^n
+    coefficient of the Goettsche product."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    entries: dict[tuple[int, int], int] = {}
-    for alpha in partitions(n):
-        shift = n - alpha.weight
-        for (p, q), d in sym_multi(surface, alpha).items():
-            key = (p + shift, q + shift)
-            entries[key] = entries.get(key, 0) + d
-    return HodgeTable(entries, n * surface.dimension)
+    return _hilbert_series(surface, n)[n]
 
 
 def h_one_top(surface: HodgeTable, n: int) -> int:
@@ -137,9 +101,10 @@ def euler_check(surface: HodgeTable, n_max: int) -> list[tuple[int, int, int]]:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     expected = euler_product_coefficients(surface.euler(), n_max)
+    series = _hilbert_series(surface, n_max)
     rows = []
     for n in range(1, n_max + 1):
-        assembled = hilbert_diamond(surface, n).euler()
+        assembled = series[n].euler()
         if assembled != expected[n]:
             raise MismatchReport(n, assembled, expected[n])
         rows.append((n, assembled, expected[n]))

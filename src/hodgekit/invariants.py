@@ -1,41 +1,46 @@
 """Invariant dimensions of tensor powers under signed-permutation groups.
 
-The dimension of the invariant subspace of V^(tensor n) is the average of
-graded traces over the group, and the trace of an element depends only on
-its signed cycle type: a cycle of length l with twist parity t contributes
-the factor
+Production route: with V = V_+ (+) V_- the eigenspace split of the
+involution and even total degrees only, the invariants of V^(tensor n) are
+symmetric powers,
+
+    S_n: Sym^n(V),    G: Sym^n(V_+),    H: Sym^n(V_+) (+) Sym^n(V_-),
+
+since H is the kernel of the twist-parity character.  :func:`sym_powers`
+computes Sym^0..Sym^n of a table at once by Newton's power-sum recurrence
+m * Sym^m = sum_k psi^k(V) * Sym^(m-k), where psi^k multiplies every
+bidegree by k.  This yields quotient cohomology and symmetric products.
+
+Audit route, sharing no arithmetic with production: :func:`class_sum_dims`
+averages graded traces over the group.  The trace of an element depends
+only on its signed cycle type: a cycle of length l with twist parity t
+contributes the factor
 
     sum over entries (p, q) of V of (d_plus + (-1)^t * d_minus) * u^(l*p) v^(l*q).
-
-This computes the quotient cohomology of n-fold products by permutation,
-even-twist, and full signed-permutation actions in exact integer arithmetic,
-without touching individual group elements.
 """
 
 from __future__ import annotations
 
-import math
 from functools import reduce
 
-from .bigraded import EquivHodgeTable, HodgeTable, point
+from .bigraded import (
+    EquivHodgeTable,
+    HodgeTable,
+    IntegralityViolation,
+    direct_sum,
+    point,
+    tensor,
+)
 from .group import SignedCycleType, classes, group_order
 
 WHICH = ("Sn", "G", "H")
-
-
-class IntegralityViolation(ArithmeticError):
-    """An averaged trace sum failed to divide exactly by the group order.
-
-    The class-sum average of graded traces is a dimension, so any remainder
-    or negative quotient signals an implementation bug, not bad input.
-    """
 
 
 class TracePolynomial:
     """Bivariate polynomial with exact integer coefficients.
 
     The coefficient of u^p v^q is the graded trace on the (p, q) component.
-    Internal machinery for the class-sum average; coefficients of a single
+    Internal machinery of the class-sum audit route; coefficients of a single
     element's trace may be negative, only the averaged result must be a
     table of nonnegative dimensions.
     """
@@ -100,49 +105,68 @@ def class_trace(ct: SignedCycleType, table: EquivHodgeTable) -> TracePolynomial:
     return result
 
 
-def _sn_classes(n: int) -> list[tuple[SignedCycleType, int]]:
-    """Cycle types of the plain symmetric group with their class sizes."""
-    out = []
-    def rec(length, remaining, acc):
-        if length > n:
-            if remaining == 0:
-                acc = tuple(acc)
-                size = math.factorial(n)
-                for l, mult in _multiplicities(acc).items():
-                    size //= l ** mult * math.factorial(mult)
-                out.append((SignedCycleType(tuple((l, 0) for l in acc)), size))
-            return
-        for c in range(remaining // length, -1, -1):
-            rec(length + 1, remaining - length * c, acc + [length] * c)
-
-    rec(1, n, [])
-    out.sort(key=lambda pair: pair[0].parts)
-    return out
+def _adams(table: HodgeTable, k: int) -> HodgeTable:
+    """psi^k: the entry at (p, q) moves to (k*p, k*q)."""
+    return HodgeTable({(k * p, k * q): d for (p, q), d in table.items()},
+                      k * table.dimension)
 
 
-def _multiplicities(lengths):
-    mult: dict[int, int] = {}
-    for l in lengths:
-        mult[l] = mult.get(l, 0) + 1
-    return mult
+def sym_powers(surface: HodgeTable, n: int) -> list[HodgeTable]:
+    """Diamonds of Sym^0..Sym^n of an even-degree table.
+
+    Newton's recurrence m * S_m = sum_{k=1..m} psi^k(V) * S_(m-k), with
+    S_0 the point (Macdonald, The Poincare polynomial of a symmetric
+    product, 1962).  Each division by m must be exact; a remainder raises
+    IntegralityViolation.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    powers = [point()]
+    for m in range(1, n + 1):
+        total = reduce(direct_sum, (tensor(_adams(surface, k), powers[m - k])
+                                    for k in range(1, m + 1)))
+        entries = {}
+        for pq, value in total.items():
+            entries[pq], rem = divmod(value, m)
+            if rem:
+                raise IntegralityViolation(
+                    f"Newton sum {value} at {pq} does not divide by {m}")
+        powers.append(HodgeTable(entries, m * surface.dimension))
+    return powers
 
 
 def invariant_dims(table: EquivHodgeTable, n: int, which: str) -> HodgeTable:
     """Dimensions of the invariants of V^(tensor n), graded by (p, q).
 
     ``which`` selects the acting group: "Sn" permutes factors only, "H"
-    adds even-twist involutions, "G" all signed permutations.  The average
-    (1/|group|) * sum over classes of size * class_trace must divide exactly;
-    anything else raises IntegralityViolation.
+    adds even-twist involutions, "G" all signed permutations.  The result
+    is Sym^n(V) for "Sn", Sym^n(V_+) for "G" and Sym^n(V_+) (+) Sym^n(V_-)
+    for "H".
     """
     if which not in WHICH:
         raise ValueError(f"which must be one of {WHICH}, got {which!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    census = _sn_classes(n) if which == "Sn" else classes(n, which)
+    if which == "Sn":
+        return sym_powers(table.forget(), n)[n]
+    plus = sym_powers(table.plus_part(), n)[n]
+    if which == "G":
+        return plus
+    return direct_sum(plus, sym_powers(table.minus_part(), n)[n])
+
+
+def class_sum_dims(table: EquivHodgeTable, n: int, which: str) -> HodgeTable:
+    """Audit route for :func:`invariant_dims`: the class-sum average.
+
+    (1/|group|) * sum over classes of size * class_trace must divide
+    exactly; anything else raises IntegralityViolation.  "Sn" averages over
+    G acting on the trivially split table, where every twist acts trivially.
+    """
+    if which == "Sn":
+        table, which = EquivHodgeTable.trivial_split(table.forget()), "G"
     order = group_order(n, which)
     total = TracePolynomial()
-    for ct, size in census:
+    for ct, size in classes(n, which):
         total = total + class_trace(ct, table).scaled(size)
     entries = {}
     for pq, value in total.coeffs.items():
@@ -157,27 +181,5 @@ def invariant_dims(table: EquivHodgeTable, n: int, which: str) -> HodgeTable:
 
 
 def sym_product(surface: HodgeTable, m: int) -> HodgeTable:
-    """Hodge diamond of the m-th symmetric product.
-
-    Computed as the permutation invariants of the m-th tensor power with
-    the trivial eigenspace split; m = 0 gives the point.
-    """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if m == 0:
-        return point()
-    return invariant_dims(EquivHodgeTable.trivial_split(surface), m, "Sn")
-
-
-def sym_multi(surface: HodgeTable, alpha) -> HodgeTable:
-    """Diamond of the product of symmetric products with multiplicities alpha.
-
-    ``alpha`` is a sequence (a_1, ..., a_n); the result is the tensor product
-    over i of the a_i-th symmetric product.  Zero multiplicities contribute
-    the point and are skipped.
-    """
-    parts = getattr(alpha, "alpha", alpha)
-    factors = [sym_product(surface, a) for a in parts if a > 0]
-    if not factors:
-        return point()
-    return reduce(lambda x, y: x * y, factors)
+    """Hodge diamond of the m-th symmetric product; m = 0 gives the point."""
+    return sym_powers(surface, m)[m]

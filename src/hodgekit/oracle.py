@@ -1,19 +1,18 @@
-"""Brute-force validator for the class-sum invariant engine.
+"""Brute-force audit route for invariant dimensions.
 
 Builds an explicit labeled basis of the n-th tensor power, applies group
 elements as signed permutations of basis labels, and reads invariant
 dimensions off the averaging projector: per bidegree, the average over the
 group of the signed count of fixed labels.  Deliberately shares no code
-with the trace-polynomial engine it validates.
+with the symmetric-power production route or the class-sum audit route.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .bigraded import EquivHodgeTable, HodgeTable
+from .bigraded import EquivHodgeTable, HodgeTable, IntegralityViolation
 from .group import GroupElement, TooLarge, enumerate_group
-from .invariants import IntegralityViolation
 
 LABEL_GUARD = 20000
 

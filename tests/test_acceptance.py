@@ -49,7 +49,7 @@ def test_criterion_02_h_one_top_vanishes():
 
 def test_criterion_03_second_betti_anchors():
     failures = []
-    for n in range(2, 7):
+    for n in range(2, 21):
         b2 = hilbert_diamond(enriques(), n).betti(2)
         if b2 != 11:
             failures.append(("enriques", n, b2))
@@ -57,7 +57,7 @@ def test_criterion_03_second_betti_anchors():
         b2 = hilbert_diamond(k3(), n).betti(2)
         if b2 != 23:
             failures.append(("k3", n, b2))
-    _report("03", "b2 = 11 for Enriques Hilbert schemes (n=2..6) and 23 for "
+    _report("03", "b2 = 11 for Enriques Hilbert schemes (n=2..20) and 23 for "
             "K3 Hilbert schemes (n=2..5)", failures)
 
 
@@ -122,7 +122,7 @@ def test_criterion_08_oracle_equivalence():
             if invariant_dims(random_table, 2, which) != projector_invariant_dims(
                     random_table, 2, which):
                 failures.append(("random", idx, which))
-    _report("08", "class-sum engine equals the projector oracle on the K3 "
+    _report("08", "symmetric-power engine equals the projector oracle on the K3 "
             "preset (n=1..3, all groups) and on 20 seeded random tables "
             "(n=2)", failures)
 
@@ -130,11 +130,11 @@ def test_criterion_08_oracle_equivalence():
 def test_criterion_09_euler_generating_function():
     failures = []
     for name, surface in (("enriques", enriques()), ("k3", k3())):
-        for n, assembled, generating in euler_check(surface, 6):
+        for n, assembled, generating in euler_check(surface, 20):
             if assembled != generating:
                 failures.append((name, n, assembled, generating))
     _report("09", "assembled Euler numbers match the product generating "
-            "function for both presets up to n=6", failures)
+            "function for both presets up to n=20", failures)
 
 
 def test_criterion_10_structural_properties():

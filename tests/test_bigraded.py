@@ -1,6 +1,7 @@
 """Bigraded table arithmetic: frozen examples plus algebraic laws."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -209,6 +210,19 @@ class TestSurfaceSpecFormat:
     def test_malformed_rejected(self, doc):
         with pytest.raises(ValueError):
             parse_surface_spec(doc)
+
+    @pytest.mark.parametrize("rows, named", [
+        ([[0, 0, 1, 0], [3, 1, 5, 0], [4, 0, 0, 2]], "entry at (3, 1) exceeds"),
+        ([[0, 0, 1, 0], [2, 0, 1, 0], [2, 2, 1, 0]], "symmetry fails in the + eigenspace: h^(2,0)"),
+        ([[0, 0, 1, 0], [2, 0, 0, 1], [0, 2, 1, 0], [2, 2, 1, 0]], "symmetry fails in the + eigenspace: h^(0,2)"),
+        ([[0, 0, 1, 0], [1, 1, 2, 0]], "duality fails in the + eigenspace: h^(0,0)"),
+        ([[0, 0, 1, 1], [1, 1, 2, 0], [2, 2, 1, 0]], "duality fails in the - eigenspace: h^(0,0)"),
+    ])
+    def test_non_geometric_rejected(self, rows, named):
+        doc = {"name": "x", "dimension": 2, "hodge": rows}
+        with pytest.raises(ValueError, match=re.escape(named)) as err:
+            parse_surface_spec(doc)
+        assert not isinstance(err.value, OddCohomologyUnsupported)
 
     def test_odd_entries_rejected_specifically(self):
         doc = {"name": "x", "dimension": 1, "hodge": [[1, 0, 1, 0]]}

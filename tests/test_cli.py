@@ -98,6 +98,15 @@ class TestSurfaceSpecInput:
                               str(tmp_path / "none.json"), "hilb", "2")
         assert code == 2
 
+    def test_non_geometric_spec_exits_2(self, capsys, tmp_path):
+        path = self.write(tmp_path, {
+            "name": "bad", "dimension": 2,
+            "hodge": [[0, 0, 1, 0], [3, 1, 5, 0], [4, 0, 0, 2]],
+        })
+        code, out, err = run_main(capsys, "diamond", "--spec", path, "hilb", "2")
+        assert code == 2 and out == ""
+        assert "(3, 1)" in err
+
     def test_odd_cohomology_exits_3(self, capsys, tmp_path):
         path = self.write(tmp_path, {
             "name": "odd", "dimension": 1, "hodge": [[1, 0, 1, 0]],

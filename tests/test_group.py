@@ -1,12 +1,17 @@
 """Deck groups: enumeration, composition law, signed cycle types, census."""
 
+import ast
 import math
 import random
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hodgekit import group
+from hodgekit.bigraded import IntegralityViolation
 from hodgekit.group import (
     ENUMERATION_GUARD,
     GroupElement,
@@ -154,6 +159,13 @@ class TestClasses:
         ct = SignedCycleType(((4, 0),))
         assert class_size(ct) == math.factorial(4) * 2 ** 3 // 4
 
+    def test_class_size_remainder_raises(self, monkeypatch):
+        # unreachable with the true factorial: with 0! = 1! = ... = 1 a
+        # single 3-cycle gives 2^2 / 3
+        monkeypatch.setattr(group, "math", SimpleNamespace(factorial=lambda k: 1))
+        with pytest.raises(IntegralityViolation):
+            class_size(SignedCycleType(((3, 0),)))
+
     def test_deterministic_order(self):
         assert classes(5, "H") == classes(5, "H")
 
@@ -162,3 +174,13 @@ class TestClasses:
             assert ct.in_h()
         for ct, _ in classes(4, "G"):
             assert ct.in_h() == (ct.twisted_cycles() % 2 == 0)
+
+
+def test_src_has_no_assert_statements():
+    # python -O strips assert, so internal invariants must raise instead
+    src = Path(group.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -1,46 +1,92 @@
-"""Partition assembly of Hilbert-scheme diamonds and the Euler cross-check."""
+"""Goettsche-product Hilbert diamonds, the partition-sum reference and the
+Euler cross-check."""
+
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
 
-from hodgekit.bigraded import HodgeTable, enriques, k3
+from hodgekit.bigraded import HodgeTable, direct_sum, enriques, k3, point, shift_by, tensor
 from hodgekit.hilbert import (
     MismatchReport,
-    Partition,
     euler_check,
     euler_product_coefficients,
     h_one_top,
     hilbert_diamond,
-    partitions,
 )
+from hodgekit.invariants import sym_product
+
+from conftest import hodge_tables
+
+
+def partitions_of(n):
+    """Partitions of n as multiplicity vectors (a_1, ..., a_n) with
+    sum i*a_i = n, reverse-lexicographic."""
+    found = []
+
+    def rec(i, remaining, acc):
+        if i > n:
+            if remaining == 0:
+                found.append(tuple(acc))
+            return
+        for a in range(remaining // i, -1, -1):
+            rec(i + 1, remaining - i * a, acc + [a])
+
+    rec(1, n, [])
+    return sorted(found, reverse=True)
+
+
+def partition_sum_diamond(surface, n):
+    """Reference Hilbert diamond, independent of the Goettsche product: each
+    partition alpha of n contributes the tensor product of the a_i-th
+    symmetric products, shifted diagonally by n - (number of parts)."""
+    total = HodgeTable({}, 0)
+    for alpha in partitions_of(n):
+        term = reduce(tensor, (sym_product(surface, a) for a in alpha), point())
+        total = direct_sum(total, shift_by(term, n - sum(alpha)))
+    return total
 
 
 class TestPartitions:
+    """The enumerator the partition-sum reference rests on."""
+
     def test_singleton(self):
-        assert partitions(1) == [Partition((1,))]
+        assert partitions_of(1) == [(1,)]
 
     def test_two(self):
-        assert [p.alpha for p in partitions(2)] == [(2, 0), (0, 1)]
+        assert partitions_of(2) == [(2, 0), (0, 1)]
 
     def test_count_five(self):
-        assert len(partitions(5)) == 7
+        assert len(partitions_of(5)) == 7
 
     def test_counts_up_to_eight(self):
-        assert [len(partitions(n)) for n in range(1, 9)] == [1, 2, 3, 5, 7, 11, 15, 22]
+        assert [len(partitions_of(n)) for n in range(1, 9)] == [1, 2, 3, 5, 7, 11, 15, 22]
 
     def test_valid_multiplicity_vectors(self):
-        for p in partitions(6):
-            assert sum(i * a for i, a in enumerate(p.alpha, start=1)) == 6
-            assert 1 <= p.weight <= 6
+        for alpha in partitions_of(6):
+            assert sum(i * a for i, a in enumerate(alpha, start=1)) == 6
+            assert 1 <= sum(alpha) <= 6
 
     def test_reverse_lexicographic_order(self):
-        alphas = [p.alpha for p in partitions(4)]
+        alphas = partitions_of(4)
         assert alphas == sorted(alphas, reverse=True)
         assert alphas[0] == (4, 0, 0, 0)   # all single points first
         assert alphas[-1] == (0, 0, 0, 1)  # one thick point last
 
-    def test_bad_vector_rejected(self):
-        with pytest.raises(ValueError):
-            Partition((1, 1))
+
+class TestPartitionSumReference:
+    def test_presets_up_to_eight(self):
+        for surface in (enriques(), k3()):
+            for n in range(1, 9):
+                assert hilbert_diamond(surface, n) == partition_sum_diamond(surface, n)
+
+    # the weight bound of the 2n-dimensional result needs a surface of
+    # positive dimension
+    @given(hodge_tables().filter(lambda t: t.dimension > 0))
+    @settings(max_examples=25, deadline=None)
+    def test_random_tables_up_to_eight(self, surface):
+        for n in range(1, 9):
+            assert hilbert_diamond(surface, n) == partition_sum_diamond(surface, n)
 
 
 class TestHilbertDiamond:

@@ -1,16 +1,22 @@
-"""Class-sum invariant engine: traces, averages, symmetric products."""
+"""Invariant dimensions: the symmetric-power engine, the class-sum audit
+route and its traces, symmetric products."""
+
+import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgekit.bigraded import EquivHodgeTable, HodgeTable, enriques, k3, k3_enriques
 from hodgekit.group import SignedCycleType
 from hodgekit.invariants import (
+    WHICH,
     IntegralityViolation,
     TracePolynomial,
+    class_sum_dims,
     class_trace,
     invariant_dims,
-    sym_multi,
+    sym_powers,
     sym_product,
 )
 from hodgekit.oracle import projector_invariant_dims
@@ -85,7 +91,19 @@ class TestInvariantDims:
         small = EquivHodgeTable({(0, 0): (1, 0), (1, 1): (1, 1)}, 1)
         for which in ("G", "H"):
             assert (invariant_dims(small, 4, which)
+                    == class_sum_dims(small, 4, which)
                     == projector_invariant_dims(small, 4, which))
+
+    # at most 18 labels per slot: 18^3 stays under the oracle's label guard
+    @given(equiv_tables(), st.sampled_from(WHICH))
+    @settings(max_examples=40, deadline=None)
+    def test_three_routes_agree(self, table, which):
+        for n in range(1, 4):
+            assert (invariant_dims(table, n, which)
+                    == class_sum_dims(table, n, which)
+                    == projector_invariant_dims(table, n, which))
+        for n in range(4, 7):
+            assert invariant_dims(table, n, which) == class_sum_dims(table, n, which)
 
     @given(equiv_tables())
     @settings(max_examples=30, deadline=None)
@@ -124,12 +142,32 @@ class TestInvariantDims:
                     for i, (ct, size) in enumerate(classes(2, "H"))]
         monkeypatch.setattr(mod, "classes", lambda n, which: doctored)
         with pytest.raises(IntegralityViolation):
+            class_sum_dims(k3_enriques(), 2, "H")
+
+    def test_integrality_guard_trips_on_corrupted_newton_term(self, monkeypatch):
+        # psi^2 gains one class at (0, 0): 2 * Sym^2 there becomes 1 + 2
+        from hodgekit import invariants as mod
+
+        honest = mod._adams
+
+        def corrupted(table, k):
+            psi = honest(table, k)
+            return psi + HodgeTable({(0, 0): 1}, 0) if k == 2 else psi
+
+        monkeypatch.setattr(mod, "_adams", corrupted)
+        with pytest.raises(IntegralityViolation):
             invariant_dims(k3_enriques(), 2, "H")
 
 
 class TestSymProduct:
     def test_zeroth_power_is_point(self):
         assert sym_product(enriques(), 0) == HodgeTable({(0, 0): 1}, 0)
+
+    def test_powers_list_every_degree(self):
+        # Sym^m of a 24-dimensional space has dimension C(24 + m - 1, m)
+        powers = sym_powers(k3(), 6)
+        assert [s.total_dim() for s in powers] == [math.comb(23 + m, m) for m in range(7)]
+        assert [s.dimension for s in powers] == [0, 2, 4, 6, 8, 10, 12]
 
     def test_odd_entries_propagate_rejection(self):
         from hodgekit.bigraded import OddCohomologyUnsupported
@@ -168,32 +206,3 @@ class TestSymProduct:
                 key = (sum(p for p, _ in comb), sum(q for _, q in comb))
                 counts[key] = counts.get(key, 0) + 1
             assert dict(sym_product(surface, m).items()) == counts
-
-
-class TestSymMulti:
-    def test_all_multiplicity_one_is_top_symmetric_product(self):
-        alpha = (3, 0, 0)  # three simple points
-        assert sym_multi(enriques(), alpha) == sym_product(enriques(), 3)
-
-    def test_single_part_of_weight_one(self):
-        alpha = (1,)  # n = 1
-        assert sym_multi(enriques(), alpha) == enriques()
-
-    def test_one_thick_point_is_the_surface_itself(self):
-        # n = 2 concentrated in a single point of multiplicity 2: the factor
-        # is the first symmetric product, i.e. the surface
-        alpha = (0, 1)
-        assert sym_multi(enriques(), alpha) == enriques()
-
-    def test_mixed_block_sizes(self):
-        from hodgekit.bigraded import tensor
-
-        alpha = (2, 1, 0, 0)  # n = 4: two simple points and one double point
-        expected = tensor(sym_product(enriques(), 2), enriques())
-        assert sym_multi(enriques(), alpha) == expected
-
-    def test_accepts_partition_objects(self):
-        from hodgekit.hilbert import Partition
-
-        assert (sym_multi(enriques(), Partition((2, 0)))
-                == sym_multi(enriques(), (2, 0)))
