@@ -19,6 +19,9 @@ from hodgekit.cli import main
 GOLDEN_DIR = Path(__file__).resolve().parent
 PRESETS = ("k3_enriques", "enriques", "k3")
 SIZES = (2, 5, 8)
+#: Hilbert schemes are also pinned at larger n, where the assembly of the
+#: generating function does most of its work.
+HILB_SIZES = (14, 20)
 OPERATIONS = (("hilb",), ("sym",), ("quotient", "Sn"), ("quotient", "G"),
               ("quotient", "H"))
 
@@ -34,6 +37,10 @@ def cases() -> list[tuple[str, list[str]]]:
                 argv = ["diamond", "--preset", preset, "--format", "json",
                         op, str(n), *group]
                 out.append((name, argv))
+        for n in HILB_SIZES:
+            out.append((f"diamond-{preset}-hilb-{n}.json",
+                        ["diamond", "--preset", preset, "--format", "json",
+                         "hilb", str(n)]))
     return out
 
 
