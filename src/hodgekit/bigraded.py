@@ -216,8 +216,8 @@ class EquivHodgeTable:
 
 def direct_sum(a: HodgeTable, b: HodgeTable) -> HodgeTable:
     """Entrywise sum; the dimension is the maximum of the two."""
-    entries = dict(a.items())
-    for pq, d in b.items():
+    entries = dict(a._entries)
+    for pq, d in b._entries.items():
         entries[pq] = entries.get(pq, 0) + d
     return HodgeTable(entries, max(a.dimension, b.dimension))
 
@@ -231,8 +231,8 @@ def tensor(a: HodgeTable, b: HodgeTable) -> HodgeTable:
         if t.has_odd_entries():
             raise OddCohomologyUnsupported("tensor requires even-degree entries")
     entries: dict[tuple[int, int], int] = {}
-    for (s, t), d in a.items():
-        for (u, v), e in b.items():
+    for (s, t), d in a._entries.items():
+        for (u, v), e in b._entries.items():
             key = (s + u, t + v)
             entries[key] = entries.get(key, 0) + d * e
     return HodgeTable(entries, a.dimension + b.dimension)

@@ -1,21 +1,19 @@
 """Hodge diamonds of Hilbert schemes of points on a surface.
 
-All diamonds up to a given n are coefficients of one truncated product
-(Goettsche, Math. Ann. 286, 1990):
-
-    sum_n h(Hilb^n S) t^n = prod_{k>=1} sum_{a>=0} Sym^a(S) (uv)^((k-1)a) t^(ka),
-
-where (uv)^j shifts a diamond diagonally by j.  An independent
-Euler-characteristic cross-check against the classical product generating
-function prod_m (1 - q^m)^(-e) guards the assembly.
+Goettsche's product (Math. Ann. 286, 1990) holds every diamond up to a bound:
+H(t) = sum_n h(Hilb^n S) t^n = prod_{k>=1} sum_{a>=0} Sym^a(S) (uv)^((k-1)a) t^(ka),
+where (uv)^j shifts a diamond diagonally by j.  Taking t d/dt log H(t) gives
+Newton's recurrence n * H_n = sum_{j=1..n} Q_j * H_(n-j), as for symmetric powers.
+The Euler product prod_m (1 - q^m)^(-e) cross-checks the assembly independently.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 
-from .bigraded import HodgeTable, direct_sum, point, shift_by, tensor
-from .invariants import sym_powers
+from .bigraded import HodgeTable, direct_sum, tensor
+from .invariants import _adams, _newton
 
 
 class MismatchReport(RuntimeError):
@@ -31,21 +29,19 @@ class MismatchReport(RuntimeError):
         )
 
 
+def _log_term(surface: HodgeTable, j: int) -> HodgeTable:
+    """Q_j = sum_{r | j} (j/r) (uv)^(j-r) psi^r(S): the t^j coefficient of
+    t d/dt log H(t)."""
+    return reduce(direct_sum, (tensor(HodgeTable({(j - r, j - r): j // r}, j - r),
+                                      _adams(surface, r))
+                               for r in range(1, j + 1) if j % r == 0))
+
+
 def _hilbert_series(surface: HodgeTable, n_max: int) -> list[HodgeTable]:
-    """Diamonds of Hilb^0..Hilb^n_max from one truncated Goettsche product."""
-    sym = sym_powers(surface, n_max)
-    empty = HodgeTable({}, 0)
-    series = [point()] + [empty] * n_max
-    for k in range(1, n_max + 1):
-        new = list(series)  # the a = 0 term of the k-th factor
-        for a in range(1, n_max // k + 1):
-            factor = shift_by(sym[a], (k - 1) * a)
-            for j in range(n_max - k * a + 1):
-                new[j + k * a] = direct_sum(new[j + k * a], tensor(series[j], factor))
-        series = new
-    # declare each dimension as n * dim(S), so the weight bound checks it
-    return [HodgeTable(dict(table.items()), n * surface.dimension)
-            for n, table in enumerate(series)]
+    """Diamonds of Hilb^0..Hilb^n_max, each of dimension n * dim(S), by
+    Newton's recurrence n * H_n = sum_j Q_j * H_(n-j) on log H(t)."""
+    return _newton([_log_term(surface, j) for j in range(1, n_max + 1)],
+                   surface.dimension)
 
 
 def hilbert_diamond(surface: HodgeTable, n: int) -> HodgeTable:

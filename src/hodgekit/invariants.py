@@ -111,28 +111,32 @@ def _adams(table: HodgeTable, k: int) -> HodgeTable:
                       k * table.dimension)
 
 
-def sym_powers(surface: HodgeTable, n: int) -> list[HodgeTable]:
-    """Diamonds of Sym^0..Sym^n of an even-degree table.
-
-    Newton's recurrence m * S_m = sum_{k=1..m} psi^k(V) * S_(m-k), with
-    S_0 the point (Macdonald, The Poincare polynomial of a symmetric
-    product, 1962).  Each division by m must be exact; a remainder raises
-    IntegralityViolation.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    powers = [point()]
-    for m in range(1, n + 1):
-        total = reduce(direct_sum, (tensor(_adams(surface, k), powers[m - k])
-                                    for k in range(1, m + 1)))
+def _newton(terms: list[HodgeTable], dimension: int) -> list[HodgeTable]:
+    """X_0..X_len(terms) from m * X_m = sum_{j=1..m} terms[j-1] * X_(m-j), with
+    X_0 the point and X_m of dimension m * dimension.  Each division by m must
+    be exact; a remainder raises IntegralityViolation."""
+    xs = [point()]
+    for m in range(1, len(terms) + 1):
+        total = reduce(direct_sum, map(tensor, terms, reversed(xs)))
         entries = {}
         for pq, value in total.items():
             entries[pq], rem = divmod(value, m)
             if rem:
                 raise IntegralityViolation(
                     f"Newton sum {value} at {pq} does not divide by {m}")
-        powers.append(HodgeTable(entries, m * surface.dimension))
-    return powers
+        xs.append(HodgeTable(entries, m * dimension))
+    return xs
+
+
+def sym_powers(surface: HodgeTable, n: int) -> list[HodgeTable]:
+    """Diamonds of Sym^0..Sym^n of an even-degree table by Newton's recurrence
+    m * S_m = sum_{k=1..m} psi^k(V) * S_(m-k) (Macdonald, The Poincare
+    polynomial of a symmetric product, 1962).  A remainder in any division
+    by m raises IntegralityViolation."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return _newton([_adams(surface, k) for k in range(1, n + 1)],
+                   surface.dimension)
 
 
 def invariant_dims(table: EquivHodgeTable, n: int, which: str) -> HodgeTable:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .bigraded import EquivHodgeTable, HodgeTable, IntegralityViolation
-from .group import GroupElement, TooLarge, enumerate_group
+from .group import ENUMERATION_GUARD, GroupElement, TooLarge, enumerate_group
 
 LABEL_GUARD = 20000
 
@@ -60,11 +60,11 @@ def apply_element(g: GroupElement, label: Label) -> tuple[Label, int]:
 
 
 def _elements(n: int, which: str) -> list[GroupElement]:
-    if which == "Sn":
-        zero = (0,) * n
-        return [GroupElement(perm, zero)
-                for perm in itertools.permutations(range(n))]
-    return enumerate_group(n, which)
+    if which != "Sn":
+        return enumerate_group(n, which)
+    if n > ENUMERATION_GUARD:
+        raise TooLarge(f"S_n enumeration is guarded at n <= {ENUMERATION_GUARD}")
+    return [GroupElement(perm, (0,) * n) for perm in itertools.permutations(range(n))]
 
 
 def element_trace(g: GroupElement, table: EquivHodgeTable) -> dict[tuple[int, int], int]:

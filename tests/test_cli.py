@@ -1,9 +1,12 @@
 """Command-line behavior: outputs, formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import hodgekit
 from hodgekit.cli import main, run_paper_checks
 
 
@@ -158,19 +161,22 @@ class TestVerifyPaper:
             assert r.provenance in ("PAPER", "DERIVED")
 
 
+def run_module(*argv):
+    """``python -m hodgekit.cli`` in a child that imports the package under
+    test, also when pytest alone put it on the path."""
+    src = str(Path(hodgekit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "hodgekit.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
 class TestConsoleEntry:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "hodgekit.cli", "diamond", "--preset",
-             "enriques", "sym", "2"],
-            capture_output=True, text=True,
-        )
+        proc = run_module("diamond", "--preset", "enriques", "sym", "2")
         assert proc.returncode == 0
         assert "56" in proc.stdout
 
     def test_usage_error_exit_code(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "hodgekit.cli", "diamond", "frobnicate", "2"],
-            capture_output=True, text=True,
-        )
+        proc = run_module("diamond", "frobnicate", "2")
         assert proc.returncode == 2

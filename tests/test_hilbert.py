@@ -1,12 +1,21 @@
-"""Goettsche-product Hilbert diamonds, the partition-sum reference and the
-Euler cross-check."""
+"""Hilbert diamonds from Newton's recurrence on the log of Goettsche's
+product, the partition-sum reference and the Euler cross-check."""
 
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 
-from hodgekit.bigraded import HodgeTable, direct_sum, enriques, k3, point, shift_by, tensor
+from hodgekit.bigraded import (
+    HodgeTable,
+    IntegralityViolation,
+    direct_sum,
+    enriques,
+    k3,
+    point,
+    shift_by,
+    tensor,
+)
 from hodgekit.hilbert import (
     MismatchReport,
     euler_check,
@@ -122,6 +131,20 @@ class TestHilbertDiamond:
                 assert d.is_symmetric()
                 assert d.satisfies_duality()
                 assert d.dimension == 2 * n
+
+    def test_integrality_guard_trips_on_corrupted_log_term(self, monkeypatch):
+        # Q_2 gains one class at (0, 0): 2 * H_2 there becomes 1 + 1 + 1
+        from hodgekit import hilbert as mod
+
+        honest = mod._log_term
+
+        def corrupted(surface, j):
+            q = honest(surface, j)
+            return q + HodgeTable({(0, 0): 1}, 0) if j == 2 else q
+
+        monkeypatch.setattr(mod, "_log_term", corrupted)
+        with pytest.raises(IntegralityViolation):
+            hilbert_diamond(enriques(), 2)
 
 
 class TestHOneTop:

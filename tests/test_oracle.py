@@ -4,6 +4,7 @@ import pytest
 
 from hodgekit.bigraded import EquivHodgeTable, k3_enriques
 from hodgekit.group import (
+    ENUMERATION_GUARD,
     TooLarge,
     enumerate_group,
     identity,
@@ -36,6 +37,19 @@ class TestBasis:
     def test_guard(self):
         with pytest.raises(TooLarge):
             labeled_basis(k3_enriques(), 4)
+
+    @pytest.mark.parametrize("n", [ENUMERATION_GUARD + 1, 20])
+    def test_sn_enumeration_guard(self, n, monkeypatch):
+        # one label per slot passes the label guard; the element guard must
+        # trip before a single permutation is generated
+        import itertools
+
+        def refuse(*args):
+            raise AssertionError("permutations enumerated past the guard")
+
+        monkeypatch.setattr(itertools, "permutations", refuse)
+        with pytest.raises(TooLarge, match=f"n <= {ENUMERATION_GUARD}"):
+            projector_invariant_dims(EquivHodgeTable({(0, 0): (1, 0)}, 0), n, "Sn")
 
 
 class TestApplyElement:
