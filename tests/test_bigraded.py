@@ -184,6 +184,22 @@ class TestTableContracts:
         with pytest.raises(OddCohomologyUnsupported):
             EquivHodgeTable({(1, 0): (1, 0)}, 1)
 
+    @pytest.mark.parametrize("entries, named", [
+        ({(0, 0): (-1, 0)}, "negative dimension at (0, 0)"),
+        ({(1, 1): (0, -2)}, "negative dimension at (1, 1)"),
+        ({(-2, 0): (1, 0)}, "invalid bidegree (-2, 0)"),
+        ({(4, 0): (1, 1)}, "entry at (4, 0) exceeds"),
+    ])
+    def test_equiv_rejects_bad_entries(self, entries, named):
+        with pytest.raises(ValueError, match=re.escape(named)) as err:
+            EquivHodgeTable(entries, 1)
+        assert not isinstance(err.value, OddCohomologyUnsupported)
+
+    def test_equiv_drops_all_zero_pairs(self):
+        t = EquivHodgeTable({(0, 0): (1, 0), (1, 1): (0, 0)}, 1)
+        assert t.items() == [((0, 0), (1, 0))]
+        assert t == EquivHodgeTable({(0, 0): (1, 0)}, 1)
+
     def test_forget_then_split_roundtrip(self):
         assert EquivHodgeTable.trivial_split(enriques()).forget() == enriques()
 
