@@ -13,8 +13,6 @@ from .bigraded import (
     OddCohomologyUnsupported,
     direct_sum,
     enriques,
-    euler,
-    betti,
     format_diamond,
     k3,
     k3_enriques,
@@ -23,7 +21,6 @@ from .bigraded import (
     point,
     preset,
     shift_by,
-    tate_twist,
     tensor,
 )
 from .cover import (
@@ -52,7 +49,6 @@ from .hilbert import (
     hilbert_diamond,
 )
 from .invariants import (
-    TracePolynomial,
     class_sum_dims,
     class_trace,
     invariant_dims,
@@ -76,9 +72,7 @@ __all__ = [
     "OddCohomologyUnsupported",
     "SignedCycleType",
     "TooLarge",
-    "TracePolynomial",
     "apply_element",
-    "betti",
     "blowup_assemble",
     "class_sum_dims",
     "class_trace",
@@ -87,7 +81,6 @@ __all__ = [
     "direct_sum",
     "enriques",
     "enumerate_group",
-    "euler",
     "euler_check",
     "exceptional_orbits",
     "format_diamond",
@@ -109,6 +102,5 @@ __all__ = [
     "signed_cycle_type",
     "sym_powers",
     "sym_product",
-    "tate_twist",
     "tensor",
 ]

@@ -7,14 +7,16 @@ All dimensions are exact (arbitrary-precision) nonnegative integers, zero
 entries are never stored, and every operation returns a new table: values
 are immutable after construction.
 
-Supported operations: direct sum, Kunneth tensor product, Tate twist
-(diagonal degree shift), Betti numbers and Euler characteristic.
+Supported operations: direct sum, Kunneth tensor product, diagonal degree
+shift, Betti numbers and Euler characteristic.  Both table types validate
+their entries the same way: an :class:`EquivHodgeTable` is checked as the
+two :class:`HodgeTable` of its eigenspaces.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterator, Mapping
+from typing import Mapping
 
 
 class OddCohomologyUnsupported(ValueError):
@@ -37,7 +39,7 @@ class NegativeIndex(ValueError):
     """Raised when a degree shift would move an entry below (0, 0)."""
 
 
-def _validated_entries(entries, dimension, *, pair_values):
+def _validated_entries(entries, dimension):
     clean = {}
     for key, value in entries.items():
         p, q = key
@@ -47,41 +49,35 @@ def _validated_entries(entries, dimension, *, pair_values):
             raise ValueError(
                 f"entry at {key!r} exceeds the weight bound for dimension {dimension}"
             )
-        if pair_values:
-            d_plus, d_minus = value
-            if d_plus < 0 or d_minus < 0:
-                raise ValueError(f"negative dimension at {key!r}")
-            if d_plus or d_minus:
-                clean[(p, q)] = (d_plus, d_minus)
-        else:
-            if value < 0:
-                raise ValueError(f"negative dimension at {key!r}")
-            if value:
-                clean[(p, q)] = value
+        if value < 0:
+            raise ValueError(f"negative dimension at {key!r}")
+        if value:
+            clean[(p, q)] = value
     return clean
+
+
+def _reject_odd(bidegrees) -> None:
+    for p, q in bidegrees:
+        if (p + q) % 2:
+            raise OddCohomologyUnsupported(
+                f"odd total degree at ({p}, {q}) is not supported"
+            )
 
 
 class HodgeTable:
     """Finitely supported map (p, q) -> dimension, plus the complex dimension.
 
     ``table[p, q]`` returns 0 for absent entries.  Equality compares supports
-    and values only.  Tables flagged ``geometric`` are checked for conjugation
-    symmetry h^{p,q} = h^{q,p} at construction.
+    and values only.
     """
 
-    __slots__ = ("_entries", "dimension", "geometric")
+    __slots__ = ("_entries", "dimension")
 
-    def __init__(self, entries: Mapping[tuple[int, int], int], dimension: int,
-                 geometric: bool = False):
+    def __init__(self, entries: Mapping[tuple[int, int], int], dimension: int):
         if dimension < 0:
             raise ValueError("dimension must be nonnegative")
         object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "geometric", geometric)
-        object.__setattr__(
-            self, "_entries", _validated_entries(entries, dimension, pair_values=False)
-        )
-        if geometric and not self.is_symmetric():
-            raise ValueError("geometric table must satisfy h^{p,q} = h^{q,p}")
+        object.__setattr__(self, "_entries", _validated_entries(entries, dimension))
 
     def __setattr__(self, name, value):
         raise AttributeError("HodgeTable is immutable")
@@ -95,9 +91,6 @@ class HodgeTable:
 
     def support(self) -> list[tuple[int, int]]:
         return sorted(self._entries)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.support())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HodgeTable):
@@ -135,9 +128,6 @@ class HodgeTable:
         n = self.dimension
         return all(self[n - p, n - q] == d for (p, q), d in self._entries.items())
 
-    def shift_by(self, k: int) -> "HodgeTable":
-        return shift_by(self, k)
-
     def __add__(self, other: "HodgeTable") -> "HodgeTable":
         return direct_sum(self, other)
 
@@ -149,24 +139,22 @@ class EquivHodgeTable:
     """Bigraded table split by an involution: (p, q) -> (d_plus, d_minus).
 
     Only even total degrees are allowed; summing the split recovers a plain
-    :class:`HodgeTable` (see :meth:`forget`).
+    :class:`HodgeTable` (see :meth:`forget`).  Each eigenspace is validated
+    as a :class:`HodgeTable` of the same dimension.
     """
 
-    __slots__ = ("_entries", "dimension")
+    __slots__ = ("_entries", "dimension", "_plus", "_minus")
 
     def __init__(self, entries: Mapping[tuple[int, int], tuple[int, int]],
                  dimension: int):
-        if dimension < 0:
-            raise ValueError("dimension must be nonnegative")
-        for p, q in entries:
-            if (p + q) % 2:
-                raise OddCohomologyUnsupported(
-                    f"odd total degree at ({p}, {q}) is not supported"
-                )
+        _reject_odd(entries)
+        plus = HodgeTable({pq: dp for pq, (dp, _) in entries.items()}, dimension)
+        minus = HodgeTable({pq: dm for pq, (_, dm) in entries.items()}, dimension)
         object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(
-            self, "_entries", _validated_entries(entries, dimension, pair_values=True)
-        )
+        object.__setattr__(self, "_plus", plus)
+        object.__setattr__(self, "_minus", minus)
+        object.__setattr__(self, "_entries", {
+            pq: (plus[pq], minus[pq]) for pq in entries if plus[pq] or minus[pq]})
 
     def __setattr__(self, name, value):
         raise AttributeError("EquivHodgeTable is immutable")
@@ -199,14 +187,10 @@ class EquivHodgeTable:
 
     def plus_part(self) -> HodgeTable:
         """Table of the +1 eigenspaces (the quotient's cohomology)."""
-        return HodgeTable(
-            {pq: dp for pq, (dp, _) in self._entries.items()}, self.dimension
-        )
+        return self._plus
 
     def minus_part(self) -> HodgeTable:
-        return HodgeTable(
-            {pq: dm for pq, (_, dm) in self._entries.items()}, self.dimension
-        )
+        return self._minus
 
     @classmethod
     def trivial_split(cls, table: HodgeTable) -> "EquivHodgeTable":
@@ -250,20 +234,6 @@ def shift_by(a: HodgeTable, k: int) -> HodgeTable:
     return HodgeTable(entries, max(a.dimension + k, 0))
 
 
-def tate_twist(a: HodgeTable, k: int) -> HodgeTable:
-    """Twist by k: the stored entry at (p, q) is relabeled (p-k, q-k),
-    i.e. result(p, q) = a(p+k, q+k)."""
-    return shift_by(a, -k)
-
-
-def betti(a: HodgeTable, k: int) -> int:
-    return a.betti(k)
-
-
-def euler(a: HodgeTable) -> int:
-    return a.euler()
-
-
 # ---------------------------------------------------------------------------
 # Built-in surfaces and the surface-spec file format.
 
@@ -288,8 +258,7 @@ def k3_enriques() -> EquivHodgeTable:
 
 def enriques() -> HodgeTable:
     """Enriques surface: diamond 1, 10, 1 in even degrees."""
-    return HodgeTable({(0, 0): 1, (1, 1): 10, (2, 2): 1}, dimension=2,
-                      geometric=True)
+    return HodgeTable({(0, 0): 1, (1, 1): 10, (2, 2): 1}, dimension=2)
 
 
 def k3() -> HodgeTable:
@@ -353,11 +322,12 @@ def parse_surface_spec(data) -> tuple[str, EquivHodgeTable]:
         if (p, q) in entries:
             raise ValueError(f"surface spec: duplicate entry at ({p}, {q})")
         entries[(p, q)] = (d_plus, d_minus)
-    table = EquivHodgeTable(entries, dimension)
+    _reject_odd(entries)
     for p, q in entries:
         if p > dimension or q > dimension:
             raise ValueError(
                 f"surface spec: entry at ({p}, {q}) exceeds dimension {dimension}")
+    table = EquivHodgeTable(entries, dimension)
     for sign, part in (("+", table.plus_part()), ("-", table.minus_part())):
         for (p, q), d in part.items():
             for rule, (s, t) in (("Hodge symmetry", (q, p)),

@@ -17,6 +17,10 @@ only on its signed cycle type: a cycle of length l with twist parity t
 contributes the factor
 
     sum over entries (p, q) of V of (d_plus + (-1)^t * d_minus) * u^(l*p) v^(l*q).
+
+Traces are plain dicts {(p, q): coefficient}, multiplied and summed by
+their own loops here rather than by :mod:`.bigraded`, whose tables reject
+the negative coefficients a single trace can have.
 """
 
 from __future__ import annotations
@@ -36,72 +40,24 @@ from .group import SignedCycleType, classes, group_order
 WHICH = ("Sn", "G", "H")
 
 
-class TracePolynomial:
-    """Bivariate polynomial with exact integer coefficients.
-
-    The coefficient of u^p v^q is the graded trace on the (p, q) component.
-    Internal machinery of the class-sum audit route; coefficients of a single
-    element's trace may be negative, only the averaged result must be a
-    table of nonnegative dimensions.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[tuple[int, int], int] | None = None):
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
-
-    @classmethod
-    def one(cls) -> "TracePolynomial":
-        return cls({(0, 0): 1})
-
-    def coefficient(self, p: int, q: int) -> int:
-        return self.coeffs.get((p, q), 0)
-
-    def __add__(self, other: "TracePolynomial") -> "TracePolynomial":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return TracePolynomial(out)
-
-    def __mul__(self, other: "TracePolynomial") -> "TracePolynomial":
-        out: dict[tuple[int, int], int] = {}
-        for (p, q), a in self.coeffs.items():
-            for (u, v), b in other.coeffs.items():
-                key = (p + u, q + v)
-                out[key] = out.get(key, 0) + a * b
-        return TracePolynomial(out)
-
-    def scaled(self, c: int) -> "TracePolynomial":
-        return TracePolynomial({k: c * v for k, v in self.coeffs.items()})
-
-    def weight_coefficient(self, k: int) -> int:
-        """Sum of coefficients in total degree k (trace on weight k)."""
-        return sum(v for (p, q), v in self.coeffs.items() if p + q == k)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TracePolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"TracePolynomial({dict(sorted(self.coeffs.items()))!r})"
-
-
-def class_trace(ct: SignedCycleType, table: EquivHodgeTable) -> TracePolynomial:
+def class_trace(ct: SignedCycleType,
+                table: EquivHodgeTable) -> dict[tuple[int, int], int]:
     """Graded trace on V^(tensor n) of any element with the given type.
 
     Product over cycles (l, t) of sum_(p,q) (d_plus + (-1)^t d_minus)
-    u^(lp) v^(lq).  Valid because the table has even-degree support only,
-    so permuting tensor factors picks up no signs.
+    u^(lp) v^(lq), returned as {(p, q): coefficient} with zero coefficients
+    dropped.  Coefficients may be negative.  Valid because the table has
+    even-degree support only, so permuting tensor factors picks up no signs.
     """
-    result = TracePolynomial.one()
+    result = {(0, 0): 1}
     for length, parity in ct.parts:
-        factor: dict[tuple[int, int], int] = {}
+        product: dict[tuple[int, int], int] = {}
         for (p, q), (d_plus, d_minus) in table.items():
             c = d_plus - d_minus if parity else d_plus + d_minus
-            if c:
-                factor[(length * p, length * q)] = c
-        result = result * TracePolynomial(factor)
+            for (s, t), a in result.items():
+                key = (s + length * p, t + length * q)
+                product[key] = product.get(key, 0) + a * c
+        result = {pq: v for pq, v in product.items() if v}
     return result
 
 
@@ -169,11 +125,12 @@ def class_sum_dims(table: EquivHodgeTable, n: int, which: str) -> HodgeTable:
     if which == "Sn":
         table, which = EquivHodgeTable.trivial_split(table.forget()), "G"
     order = group_order(n, which)
-    total = TracePolynomial()
+    total: dict[tuple[int, int], int] = {}
     for ct, size in classes(n, which):
-        total = total + class_trace(ct, table).scaled(size)
+        for pq, c in class_trace(ct, table).items():
+            total[pq] = total.get(pq, 0) + size * c
     entries = {}
-    for pq, value in total.coeffs.items():
+    for pq, value in total.items():
         dim, rem = divmod(value, order)
         if rem != 0 or dim < 0:
             raise IntegralityViolation(

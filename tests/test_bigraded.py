@@ -19,7 +19,6 @@ from hodgekit.bigraded import (
     point,
     preset,
     shift_by,
-    tate_twist,
     tensor,
 )
 
@@ -97,7 +96,7 @@ class TestTensor:
 
 class TestTwist:
     def test_zero_is_identity(self):
-        assert tate_twist(k3(), 0) == k3()
+        assert shift_by(k3(), 0) == k3()
 
     def test_single_entry_relabeled(self):
         start = HodgeTable({(0, 0): 1}, 0)
@@ -105,7 +104,7 @@ class TestTwist:
 
     def test_roundtrip(self):
         for k in (1, 2):
-            assert tate_twist(tate_twist(k3(), -k), k) == k3()
+            assert shift_by(shift_by(k3(), k), -k) == k3()
 
     def test_negative_landing_rejected(self):
         with pytest.raises(NegativeIndex):
@@ -168,10 +167,6 @@ class TestTableContracts:
         with pytest.raises(ValueError):
             HodgeTable({(3, 0): 1}, 1)
 
-    def test_geometric_flag_checks_symmetry(self):
-        with pytest.raises(ValueError):
-            HodgeTable({(2, 0): 1}, 2, geometric=True)
-
     def test_equality_is_support_and_values(self):
         assert HodgeTable({(0, 0): 1}, 0) == HodgeTable({(0, 0): 1}, 3)
 
@@ -227,15 +222,16 @@ class TestSurfaceSpecFormat:
         with pytest.raises(ValueError):
             parse_surface_spec(doc)
 
-    @pytest.mark.parametrize("rows, named", [
-        ([[0, 0, 1, 0], [3, 1, 5, 0], [4, 0, 0, 2]], "entry at (3, 1) exceeds"),
-        ([[0, 0, 1, 0], [2, 0, 1, 0], [2, 2, 1, 0]], "symmetry fails in the + eigenspace: h^(2,0)"),
-        ([[0, 0, 1, 0], [2, 0, 0, 1], [0, 2, 1, 0], [2, 2, 1, 0]], "symmetry fails in the + eigenspace: h^(0,2)"),
-        ([[0, 0, 1, 0], [1, 1, 2, 0]], "duality fails in the + eigenspace: h^(0,0)"),
-        ([[0, 0, 1, 1], [1, 1, 2, 0], [2, 2, 1, 0]], "duality fails in the - eigenspace: h^(0,0)"),
+    @pytest.mark.parametrize("rows, named, dimension", [
+        ([[0, 0, 1, 0], [3, 1, 5, 0], [4, 0, 0, 2]], "entry at (3, 1) exceeds", 2),
+        ([[0, 0, 1, 0], [2, 0, 1, 0], [2, 2, 1, 0]], "symmetry fails in the + eigenspace: h^(2,0)", 2),
+        ([[0, 0, 1, 0], [2, 0, 0, 1], [0, 2, 1, 0], [2, 2, 1, 0]], "symmetry fails in the + eigenspace: h^(0,2)", 2),
+        ([[0, 0, 1, 0], [1, 1, 2, 0]], "duality fails in the + eigenspace: h^(0,0)", 2),
+        ([[0, 0, 1, 1], [1, 1, 2, 0], [2, 2, 1, 0]], "duality fails in the - eigenspace: h^(0,0)", 2),
+        ([[0, 0, 1, 0], [1, 1, 1, 0]], "surface spec: entry at (1, 1) exceeds dimension 0", 0),
     ])
-    def test_non_geometric_rejected(self, rows, named):
-        doc = {"name": "x", "dimension": 2, "hodge": rows}
+    def test_non_geometric_rejected(self, rows, named, dimension):
+        doc = {"name": "x", "dimension": dimension, "hodge": rows}
         with pytest.raises(ValueError, match=re.escape(named)) as err:
             parse_surface_spec(doc)
         assert not isinstance(err.value, OddCohomologyUnsupported)

@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hodgekit
+from hodgekit import cli
 from hodgekit.cli import main, run_paper_checks
 
 
@@ -50,6 +53,16 @@ class TestDiamondCommand:
                                 "--format", "json", "quotient", "2", "H")
         assert code == 0
         assert [2, 2, 112] in json.loads(out)["hodge"]
+
+    @pytest.mark.parametrize("argv", [("sym", "41"), ("hilb", "1000")])
+    def test_n_above_bound_exits_3_before_any_work(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("computation started")
+        for name in ("_load_input", "sym_product", "hilbert_diamond"):
+            monkeypatch.setattr(cli, name, refuse)
+        code, out, err = run_main(capsys, "diamond", *argv)
+        assert code == 3 and out == ""
+        assert f"n <= {cli.DIAMOND_N_MAX}" in err
 
     def test_cover_rejects_other_n(self, capsys):
         code, _, err = run_main(capsys, "diamond", "cover", "3")
@@ -109,6 +122,18 @@ class TestSurfaceSpecInput:
         code, out, err = run_main(capsys, "diamond", "--spec", path, "hilb", "2")
         assert code == 2 and out == ""
         assert "(3, 1)" in err
+
+    @pytest.mark.parametrize("dimension, rows", [
+        (1, [[0, 0, 1, 0], [1, 1, 1, 0]]),
+        (3, [[0, 0, 1, 0], [1, 1, 1, 0], [2, 2, 1, 0], [3, 3, 1, 0]]),
+    ])
+    def test_hilb_of_non_surface_exits_2(self, capsys, tmp_path, dimension, rows):
+        path = self.write(tmp_path, {
+            "name": "not-a-surface", "dimension": dimension, "hodge": rows,
+        })
+        code, out, err = run_main(capsys, "diamond", "--spec", path, "hilb", "2")
+        assert code == 2 and out == ""
+        assert "not-a-surface" in err and f"dimension {dimension}" in err
 
     def test_odd_cohomology_exits_3(self, capsys, tmp_path):
         path = self.write(tmp_path, {

@@ -97,7 +97,7 @@ class TestElementTraces:
         table = k3_enriques()
         for n in (1, 2):
             for g in enumerate_group(n, "G"):
-                expected = class_trace(signed_cycle_type(g), table).coeffs
+                expected = class_trace(signed_cycle_type(g), table)
                 assert element_trace(g, table) == expected
 
     def test_every_element_matches_at_n3(self):
@@ -111,7 +111,7 @@ class TestElementTraces:
                 moved, sign = apply_element(g, lab)
                 if moved == lab:
                     sums[deg] = sums.get(deg, 0) + sign
-            expected = class_trace(signed_cycle_type(g), table).coeffs
+            expected = class_trace(signed_cycle_type(g), table)
             assert {k: v for k, v in sums.items() if v} == expected
 
 

@@ -1,5 +1,7 @@
 """The package's public surface."""
 
+import pytest
+
 import hodgekit
 
 
@@ -7,3 +9,9 @@ def test_every_exported_name_resolves():
     assert len(set(hodgekit.__all__)) == len(hodgekit.__all__)
     for name in hodgekit.__all__:
         assert getattr(hodgekit, name) is not None
+
+
+@pytest.mark.parametrize("name", ["TracePolynomial", "betti", "euler", "tate_twist"])
+def test_removed_name_not_exported(name):
+    assert name not in hodgekit.__all__
+    assert not hasattr(hodgekit, name)
