@@ -29,7 +29,9 @@ OPERATIONS = (("hilb",), ("sym",), ("quotient", "Sn"), ("quotient", "G"),
 def cases() -> list[tuple[str, list[str]]]:
     """(golden file name, CLI argv) for every captured output."""
     out = [("verify-paper-n6.json",
-            ["verify-paper", "--n-max", "6", "--format", "json"])]
+            ["verify-paper", "--n-max", "6", "--format", "json"]),
+           ("verify-paper-n12.json",
+            ["verify-paper", "--n-max", "12", "--format", "json"])]
     for preset in PRESETS:
         for op, *group in OPERATIONS:
             for n in SIZES:
@@ -41,6 +43,9 @@ def cases() -> list[tuple[str, list[str]]]:
             out.append((f"diamond-{preset}-hilb-{n}.json",
                         ["diamond", "--preset", preset, "--format", "json",
                          "hilb", str(n)]))
+        out.append((f"diamond-{preset}-cover-2.json",
+                    ["diamond", "--preset", preset, "--format", "json",
+                     "cover", "2"]))
     return out
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from hodgekit.bigraded import enriques, k3_enriques, point
+from hodgekit.group import enumerate_group
 from hodgekit.cover import (
     BlowupPlan,
     CenterLabel,
@@ -96,6 +97,27 @@ class TestExceptionalOrbits:
     def test_lower_bound(self):
         with pytest.raises(ValueError):
             exceptional_orbits(1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_orbits_under_every_element(self, n):
+        # A class is a slot pair {i, j} with a locus: the equal points
+        # x_i = x_j, or the involution pair x_i = s(x_j).  Twisting exactly
+        # one slot of the pair swaps the two loci; moving slots moves the pair.
+        def image(g, pair, twisted_locus):
+            moved = frozenset(g.perm[m] for m in pair)
+            flips = sum(g.twist[m] for m in pair) % 2
+            return moved, twisted_locus != bool(flips)
+
+        unseen = {(frozenset((i, j)), locus) for i in range(n)
+                  for j in range(i + 1, n) for locus in (False, True)}
+        assert len(unseen) == n * (n - 1)
+        group = enumerate_group(n, "H")
+        orbits = 0
+        while unseen:
+            pair, locus = unseen.pop()
+            unseen -= {image(g, pair, locus) for g in group}
+            orbits += 1
+        assert exceptional_orbits(n) == orbits
 
 
 class TestH2Cover:
