@@ -24,8 +24,6 @@ from .bigraded import (
     tensor,
 )
 from .cover import (
-    BlowupPlan,
-    CenterLabel,
     DimensionMismatch,
     blowup_assemble,
     cover_diamond_n2,
@@ -60,8 +58,6 @@ from .oracle import apply_element, labeled_basis, projector_invariant_dims
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlowupPlan",
-    "CenterLabel",
     "DimensionMismatch",
     "EquivHodgeTable",
     "GroupElement",

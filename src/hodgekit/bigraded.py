@@ -298,8 +298,9 @@ def parse_surface_spec(data) -> tuple[str, EquivHodgeTable]:
         {"name": str, "dimension": int, "hodge": [[p, q, d_plus, d_minus], ...]}
 
     Raises OddCohomologyUnsupported on entries of odd total degree, and
-    ValueError on malformed input or on a table no surface can have: an
-    entry beyond the dimension, or an eigenspace that breaks Hodge symmetry
+    ValueError on malformed input or on a table no surface can have: a
+    negative dimension, bidegree or eigenspace dimension, an entry beyond
+    the dimension, or an eigenspace that breaks Hodge symmetry
     h^{p,q} = h^{q,p} or Serre duality h^{p,q} = h^{d-p,d-q}.
     """
     if not isinstance(data, dict):
@@ -323,10 +324,16 @@ def parse_surface_spec(data) -> tuple[str, EquivHodgeTable]:
             raise ValueError(f"surface spec: duplicate entry at ({p}, {q})")
         entries[(p, q)] = (d_plus, d_minus)
     _reject_odd(entries)
-    for p, q in entries:
+    if dimension < 0:
+        raise ValueError(f"surface spec: dimension must be nonnegative, got {dimension}")
+    for (p, q), (d_plus, d_minus) in entries.items():
+        if p < 0 or q < 0:
+            raise ValueError(f"surface spec: invalid bidegree ({p}, {q})")
         if p > dimension or q > dimension:
             raise ValueError(
                 f"surface spec: entry at ({p}, {q}) exceeds dimension {dimension}")
+        if d_plus < 0 or d_minus < 0:
+            raise ValueError(f"surface spec: negative dimension at ({p}, {q})")
     table = EquivHodgeTable(entries, dimension)
     for sign, part in (("+", table.plus_part()), ("-", table.minus_part())):
         for (p, q), d in part.items():

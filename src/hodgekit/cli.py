@@ -1,9 +1,10 @@
 """Command-line front end: diamond printing and the one-shot audit report.
 
 Exit codes: 0 success, 1 at least one audit check failed, 2 usage or parse
-error (including ``hilb`` of a table that is not a surface), 3 unsupported
-input: odd-degree cohomology, or a ``diamond`` request with n above
-:data:`DIAMOND_N_MAX`, rejected before any work.  A check whose computed
+error (including ``hilb`` or ``cover`` of a table that is not a surface),
+3 unsupported input: odd-degree cohomology, a ``diamond`` request with n
+above :data:`DIAMOND_N_MAX` or a ``verify-paper`` request with ``--n-max``
+above :data:`VERIFY_N_MAX`, rejected before any work.  A check whose computed
 value is internally consistent but disagrees with a published figure is
 reported as ``discrepancy-noted`` and does not fail the run.
 """
@@ -46,6 +47,9 @@ NOTED = "discrepancy-noted"
 
 #: Largest n the diamond command accepts; n = 40 takes a few seconds.
 DIAMOND_N_MAX = 40
+
+#: Largest --n-max verify-paper accepts; 20 takes a few seconds.
+VERIFY_N_MAX = 20
 
 
 @dataclass(frozen=True)
@@ -285,10 +289,10 @@ def cmd_diamond(args) -> int:
     if n > DIAMOND_N_MAX:
         raise TooLarge(f"n = {n} exceeds the diamond bound n <= {DIAMOND_N_MAX}")
     name, table = _load_input(args)
+    if args.op in ("hilb", "cover") and table.dimension != 2:
+        raise UsageError(f"{args.op} needs a surface (dimension 2), but {name} "
+                         f"has dimension {table.dimension}")
     if args.op == "hilb":
-        if table.dimension != 2:
-            raise UsageError(f"hilb needs a surface (dimension 2), but {name} "
-                             f"has dimension {table.dimension}")
         result = hilbert_diamond(table.forget(), n)
         title = f"hilb {n} of {name}"
     elif args.op == "sym":
@@ -314,6 +318,9 @@ def cmd_diamond(args) -> int:
 def cmd_verify_paper(args) -> int:
     if args.n_max < 2:
         raise UsageError("--n-max must be >= 2")
+    if args.n_max > VERIFY_N_MAX:
+        raise TooLarge(f"--n-max {args.n_max} exceeds the verify-paper bound "
+                       f"--n-max <= {VERIFY_N_MAX}")
     results = run_paper_checks(args.n_max)
     print(_render_results(results, args.format))
     counts = {status: sum(1 for r in results if r.status == status)

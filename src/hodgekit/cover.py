@@ -10,15 +10,14 @@ center's cohomology shifted by (1, 1).
 
 This module assembles the full diamond of X for n = 2 and the weight-2
 dimension (second Betti number) of X for all n, via orbit counting of the
-exceptional divisor classes under the deck action.
+exceptional divisor classes under the deck action, which acts through the
+elements of :mod:`hodgekit.group`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Literal
-
 from .bigraded import EquivHodgeTable, HodgeTable, direct_sum, k3_enriques, shift_by
+from .group import GroupElement, slot_twist, transposition
 from .invariants import invariant_dims
 
 
@@ -26,116 +25,59 @@ class DimensionMismatch(ValueError):
     """A blow-up center is not of codimension 2 in the base."""
 
 
-@dataclass(frozen=True)
-class BlowupPlan:
-    """A base diamond plus codimension-2 centers to adjoin with shift (1, 1)."""
+def blowup_assemble(base: HodgeTable, centers: tuple[HodgeTable, ...]) -> HodgeTable:
+    """result(p, q) = base(p, q) + sum over centers of center(p-1, q-1).
 
-    base: HodgeTable
-    centers: tuple[HodgeTable, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        object.__setattr__(self, "centers", tuple(self.centers))
-        for center in self.centers:
-            if center.dimension != self.base.dimension - 2:
-                raise DimensionMismatch(
-                    f"center of dimension {center.dimension} in a base of "
-                    f"dimension {self.base.dimension}"
-                )
-
-
-@dataclass(frozen=True, slots=True)
-class CenterLabel:
-    """One exceptional divisor class: a slot pair with its locus kind.
-
-    ``kind`` is "Delta" for the equal-points locus and "T" for the
-    involution-twisted one; slots are 1-based with i < j.
+    Raises DimensionMismatch, before any sum, for a center that is not of
+    codimension 2 in the base.
     """
-
-    i: int
-    j: int
-    kind: Literal["Delta", "T"]
-
-    def __post_init__(self):
-        if not 1 <= self.i < self.j:
-            raise ValueError("need 1 <= i < j")
-        if self.kind not in ("Delta", "T"):
-            raise ValueError(f"bad kind {self.kind!r}")
-
-
-def blowup_assemble(plan: BlowupPlan) -> HodgeTable:
-    """result(p, q) = base(p, q) + sum over centers of center(p-1, q-1)."""
-    out = plan.base
-    for center in plan.centers:
+    for center in centers:
+        if center.dimension != base.dimension - 2:
+            raise DimensionMismatch(
+                f"center of dimension {center.dimension} in a base of "
+                f"dimension {base.dimension}"
+            )
+    out = base
+    for center in centers:
         out = direct_sum(out, shift_by(center, 1))
     return out
 
 
-def center_labels(n: int) -> list[CenterLabel]:
-    """The 2 * C(n, 2) exceptional classes for the n-fold product."""
-    return [CenterLabel(i, j, kind)
-            for i in range(1, n + 1) for j in range(i + 1, n + 1)
-            for kind in ("Delta", "T")]
+def center_labels(n: int) -> list[tuple[int, int, int]]:
+    """The 2 * C(n, 2) exceptional classes (i, j, kind) of the n-fold product:
+    0-based slots i < j, kind 0 for the equal-points locus, 1 for the twisted."""
+    return [(i, j, kind) for i in range(n) for j in range(i + 1, n)
+            for kind in (0, 1)]
 
 
-def _transposition_image(label: CenterLabel, a: int, b: int) -> CenterLabel:
-    """Relabel the slot pair under the transposition (a b); kind unchanged."""
-    swap = {a: b, b: a}
-    i = swap.get(label.i, label.i)
-    j = swap.get(label.j, label.j)
-    if i > j:
-        i, j = j, i
-    return CenterLabel(i, j, label.kind)
-
-
-def _pair_twist_image(label: CenterLabel, a: int, b: int) -> CenterLabel:
-    """Image under the twist in slots {a, b}: the kind toggles exactly when
-    one endpoint of the pair is twisted (equal points become involution-
-    related points and vice versa)."""
-    touched = (label.i in (a, b)) + (label.j in (a, b))
-    if touched == 1:
-        other = "T" if label.kind == "Delta" else "Delta"
-        return CenterLabel(label.i, label.j, other)
-    return label
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-    def count(self):
-        return sum(1 for x, p in self.parent.items() if x == p)
+def _class_image(g: GroupElement, label: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Image of a class under g: the twist acts first, so the kind toggles
+    exactly when one slot of the pair is twisted; then the slots move."""
+    i, j, kind = label
+    a, b = g.perm[i], g.perm[j]
+    return min(a, b), max(a, b), kind ^ g.twist[i] ^ g.twist[j]
 
 
 def exceptional_orbits(n: int) -> int:
     """Orbits of the exceptional classes under the even-twist deck group.
 
-    Closure over generators: adjacent transpositions relabel slot pairs, and
-    the twist in slots {1, 2} toggles Delta/T on pairs meeting exactly one of
-    them.  For n = 2 the two kinds stay separate; from n = 3 on everything
-    merges into a single orbit.
+    Flood fill over generators of H: the adjacent transpositions and the
+    twist in slots 0 and 1.  For n = 2 the two kinds stay separate; from
+    n = 3 on everything merges into a single orbit.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    labels = center_labels(n)
-    uf = _UnionFind(labels)
-    for label in labels:
-        for a in range(1, n):
-            uf.union(label, _transposition_image(label, a, a + 1))
-        uf.union(label, _pair_twist_image(label, 1, 2))
-    return uf.count()
+    generators = [transposition(n, a, a + 1) for a in range(n - 1)]
+    generators.append(slot_twist(n, (0, 1)))
+    unseen = set(center_labels(n))
+    orbits = 0
+    while unseen:
+        orbits += 1
+        frontier = {unseen.pop()}
+        while frontier:
+            frontier = {_class_image(g, c) for g in generators for c in frontier} & unseen
+            unseen -= frontier
+    return orbits
 
 
 def cover_diamond_n2(surface: EquivHodgeTable | None = None) -> HodgeTable:
@@ -148,7 +90,7 @@ def cover_diamond_n2(surface: EquivHodgeTable | None = None) -> HodgeTable:
     table = k3_enriques() if surface is None else surface
     base = invariant_dims(table, 2, "H")
     quotient_surface = table.plus_part()
-    return blowup_assemble(BlowupPlan(base, (quotient_surface, quotient_surface)))
+    return blowup_assemble(base, (quotient_surface, quotient_surface))
 
 
 def h2_cover(n: int) -> int:

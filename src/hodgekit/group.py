@@ -70,9 +70,6 @@ class GroupElement:
         """Total twist count mod 2; the homomorphism to Z/2 with kernel H."""
         return sum(self.twist) % 2
 
-    def in_h(self) -> bool:
-        return self.twist_parity() == 0
-
     def act(self, x: tuple) -> tuple:
         """Apply to a labeled tuple whose entries are (symbol, bit) pairs;
         the twist toggles the bit, then slots are permuted."""
@@ -83,9 +80,6 @@ class GroupElement:
             sym, bit = x[m]
             out[self.perm[m]] = (sym, bit ^ self.twist[m])
         return tuple(out)
-
-    def __repr__(self):
-        return f"GroupElement(perm={self.perm!r}, twist={self.twist!r})"
 
 
 def identity(n: int) -> GroupElement:
@@ -161,24 +155,25 @@ def signed_cycle_type(g: GroupElement) -> SignedCycleType:
 
 
 def enumerate_group(n: int, which: str) -> list[GroupElement]:
-    """All elements of G or H, in a fixed deterministic order.
+    """All elements of G, H or S_n, in a fixed deterministic order.
 
-    Guarded at n <= 8: element counts grow like 2^n * n!.  Use
-    :func:`classes` for anything size-related beyond the guard.
+    S_n is taken as the permutations with zero twist.  Guarded at n <= 8:
+    element counts grow like 2^n * n!.  Use :func:`classes` for anything
+    size-related beyond the guard.
     """
-    if which not in GROUPS:
-        raise ValueError(f"which must be one of {GROUPS}, got {which!r}")
+    if which not in ("Sn", *GROUPS):
+        raise ValueError(f"which must be one of {('Sn', *GROUPS)}, got {which!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > ENUMERATION_GUARD:
         raise TooLarge(f"enumeration is guarded at n <= {ENUMERATION_GUARD}")
-    out = []
-    for perm in itertools.permutations(range(n)):
-        for twist in itertools.product((0, 1), repeat=n):
-            if which == "H" and sum(twist) % 2:
-                continue
-            out.append(GroupElement(perm, twist))
-    return out
+    if which == "Sn":
+        twists = [(0,) * n]
+    else:
+        twists = [t for t in itertools.product((0, 1), repeat=n)
+                  if which == "G" or sum(t) % 2 == 0]
+    return [GroupElement(perm, twist)
+            for perm in itertools.permutations(range(n)) for twist in twists]
 
 
 def group_order(n: int, which: str) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .bigraded import EquivHodgeTable, HodgeTable, IntegralityViolation
-from .group import ENUMERATION_GUARD, GroupElement, TooLarge, enumerate_group
+from .group import GroupElement, TooLarge, enumerate_group
 
 LABEL_GUARD = 20000
 
@@ -59,14 +59,6 @@ def apply_element(g: GroupElement, label: Label) -> tuple[Label, int]:
     return tuple(moved), sign
 
 
-def _elements(n: int, which: str) -> list[GroupElement]:
-    if which != "Sn":
-        return enumerate_group(n, which)
-    if n > ENUMERATION_GUARD:
-        raise TooLarge(f"S_n enumeration is guarded at n <= {ENUMERATION_GUARD}")
-    return [GroupElement(perm, (0,) * n) for perm in itertools.permutations(range(n))]
-
-
 def element_trace(g: GroupElement, table: EquivHodgeTable) -> dict[tuple[int, int], int]:
     """Signed count of fixed labels per bidegree: the graded matrix trace."""
     sums: dict[tuple[int, int], int] = {}
@@ -88,7 +80,7 @@ def projector_invariant_dims(table: EquivHodgeTable, n: int, which: str) -> Hodg
         raise ValueError("n must be >= 1")
     labels = labeled_basis(table, n)
     degrees = [(sum(s[0] for s in lab), sum(s[1] for s in lab)) for lab in labels]
-    elements = _elements(n, which)
+    elements = enumerate_group(n, which)
     sums: dict[tuple[int, int], int] = {}
     for g in elements:
         perm, twist = g.perm, g.twist

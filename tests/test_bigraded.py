@@ -229,6 +229,9 @@ class TestSurfaceSpecFormat:
         ([[0, 0, 1, 0], [1, 1, 2, 0]], "duality fails in the + eigenspace: h^(0,0)", 2),
         ([[0, 0, 1, 1], [1, 1, 2, 0], [2, 2, 1, 0]], "duality fails in the - eigenspace: h^(0,0)", 2),
         ([[0, 0, 1, 0], [1, 1, 1, 0]], "surface spec: entry at (1, 1) exceeds dimension 0", 0),
+        ([], "surface spec: dimension must be nonnegative, got -1", -1),
+        ([[0, 0, 1, 0], [-2, 0, 1, 0]], "surface spec: invalid bidegree (-2, 0)", 2),
+        ([[0, 0, -1, 0]], "surface spec: negative dimension at (0, 0)", 2),
     ])
     def test_non_geometric_rejected(self, rows, named, dimension):
         doc = {"name": "x", "dimension": dimension, "hodge": rows}

@@ -123,16 +123,18 @@ class TestSurfaceSpecInput:
         assert code == 2 and out == ""
         assert "(3, 1)" in err
 
+    @pytest.mark.parametrize("op", ["hilb", "cover"])
     @pytest.mark.parametrize("dimension, rows", [
         (1, [[0, 0, 1, 0], [1, 1, 1, 0]]),
         (3, [[0, 0, 1, 0], [1, 1, 1, 0], [2, 2, 1, 0], [3, 3, 1, 0]]),
     ])
-    def test_hilb_of_non_surface_exits_2(self, capsys, tmp_path, dimension, rows):
+    def test_hilb_of_non_surface_exits_2(self, capsys, tmp_path, dimension, rows, op):
         path = self.write(tmp_path, {
             "name": "not-a-surface", "dimension": dimension, "hodge": rows,
         })
-        code, out, err = run_main(capsys, "diamond", "--spec", path, "hilb", "2")
+        code, out, err = run_main(capsys, "diamond", "--spec", path, op, "2")
         assert code == 2 and out == ""
+        assert f"{op} needs a surface" in err
         assert "not-a-surface" in err and f"dimension {dimension}" in err
 
     def test_odd_cohomology_exits_3(self, capsys, tmp_path):
@@ -163,6 +165,16 @@ class TestVerifyPaper:
     def test_n_max_lower_bound(self, capsys):
         code, _, err = run_main(capsys, "verify-paper", "--n-max", "1")
         assert code == 2 and "n-max" in err
+
+    @pytest.mark.parametrize("n_max", ["21", "1000"])
+    def test_n_max_above_bound_exits_3_before_any_check(self, capsys, monkeypatch,
+                                                          n_max):
+        def refuse(*args):
+            raise AssertionError("checks started")
+        monkeypatch.setattr(cli, "run_paper_checks", refuse)
+        code, out, err = run_main(capsys, "verify-paper", "--n-max", n_max)
+        assert code == 3 and out == ""
+        assert f"--n-max <= {cli.VERIFY_N_MAX}" in err
 
     def test_table_and_json_contain_same_numbers(self, capsys):
         _, out_table, _ = run_main(capsys, "verify-paper", "--n-max", "3")

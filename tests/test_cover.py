@@ -3,11 +3,9 @@
 import pytest
 
 from hodgekit.bigraded import enriques, k3_enriques, point
-from hodgekit.group import enumerate_group
 from hodgekit.cover import (
-    BlowupPlan,
-    CenterLabel,
     DimensionMismatch,
+    _class_image,
     blowup_assemble,
     center_labels,
     cover_diamond_n2,
@@ -15,6 +13,7 @@ from hodgekit.cover import (
     h2_cover,
     h_top_minus,
 )
+from hodgekit.group import enumerate_group
 from hodgekit.hilbert import hilbert_diamond
 from hodgekit.invariants import invariant_dims
 
@@ -22,26 +21,21 @@ from hodgekit.invariants import invariant_dims
 class TestBlowupAssemble:
     def test_no_centers_is_identity(self):
         base = invariant_dims(k3_enriques(), 2, "H")
-        assert blowup_assemble(BlowupPlan(base, ())) == base
+        assert blowup_assemble(base, ()) == base
 
     def test_two_enriques_centers_h11(self):
         base = invariant_dims(k3_enriques(), 2, "H")
-        plan = BlowupPlan(base, (enriques(), enriques()))
-        out = blowup_assemble(plan)
+        out = blowup_assemble(base, (enriques(), enriques()))
         assert out[1, 1] == 10 + 1 + 1
         assert out[3, 1] == 10 + 0 + 0
 
     def test_codimension_checked(self):
         base = invariant_dims(k3_enriques(), 2, "H")
         with pytest.raises(DimensionMismatch):
-            BlowupPlan(base, (point(),))
+            blowup_assemble(base, (point(),))
 
     def test_center_label_contract(self):
         assert len(center_labels(4)) == 2 * 6
-        with pytest.raises(ValueError):
-            CenterLabel(2, 2, "Delta")
-        with pytest.raises(ValueError):
-            CenterLabel(1, 2, "Sigma")
 
 
 class TestCoverDiamond:
@@ -118,6 +112,14 @@ class TestExceptionalOrbits:
             unseen -= {image(g, pair, locus) for g in group}
             orbits += 1
         assert exceptional_orbits(n) == orbits
+
+    def test_class_action_follows_product_law(self):
+        group = enumerate_group(3, "G")
+        for a in group:
+            for b in group:
+                for label in center_labels(3):
+                    assert (_class_image(a * b, label)
+                            == _class_image(a, _class_image(b, label)))
 
 
 class TestH2Cover:

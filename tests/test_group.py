@@ -40,6 +40,7 @@ class TestEnumeration:
         for n in range(1, 5):
             assert len(enumerate_group(n, "G")) == 2 ** n * math.factorial(n)
             assert len(enumerate_group(n, "H")) == 2 ** (n - 1) * math.factorial(n)
+            assert len(enumerate_group(n, "Sn")) == math.factorial(n)
 
     def test_n1_full_group(self):
         assert enumerate_group(1, "G") == [identity(1), slot_twist(1, (0,))]
@@ -72,7 +73,7 @@ class TestEnumeration:
 
     def test_bad_token(self):
         with pytest.raises(ValueError):
-            enumerate_group(2, "Sn")
+            enumerate_group(2, "K")
 
 
 class TestCompositionLaw:

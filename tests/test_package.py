@@ -11,7 +11,8 @@ def test_every_exported_name_resolves():
         assert getattr(hodgekit, name) is not None
 
 
-@pytest.mark.parametrize("name", ["TracePolynomial", "betti", "euler", "tate_twist"])
+@pytest.mark.parametrize("name", ["TracePolynomial", "betti", "euler", "tate_twist",
+                                  "BlowupPlan", "CenterLabel"])
 def test_removed_name_not_exported(name):
     assert name not in hodgekit.__all__
     assert not hasattr(hodgekit, name)
