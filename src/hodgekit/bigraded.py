@@ -131,9 +131,6 @@ class HodgeTable:
     def __add__(self, other: "HodgeTable") -> "HodgeTable":
         return direct_sum(self, other)
 
-    def __mul__(self, other: "HodgeTable") -> "HodgeTable":
-        return tensor(self, other)
-
 
 class EquivHodgeTable:
     """Bigraded table split by an involution: (p, q) -> (d_plus, d_minus).

@@ -20,6 +20,10 @@ from .bigraded import IntegralityViolation
 
 ENUMERATION_GUARD = 8
 
+#: Bound on explicit work: group elements enumerated, and element x label
+#: checks in the projector oracle.
+WORK_GUARD = 10 ** 6
+
 GROUPS = ("G", "H")
 
 
@@ -157,9 +161,9 @@ def signed_cycle_type(g: GroupElement) -> SignedCycleType:
 def enumerate_group(n: int, which: str) -> list[GroupElement]:
     """All elements of G, H or S_n, in a fixed deterministic order.
 
-    S_n is taken as the permutations with zero twist.  Guarded at n <= 8:
-    element counts grow like 2^n * n!.  Use :func:`classes` for anything
-    size-related beyond the guard.
+    S_n is taken as the permutations with zero twist.  Guarded at n <= 8 and
+    at group order <= WORK_GUARD: element counts grow like 2^n * n!.  Use
+    :func:`classes` for anything size-related beyond the guards.
     """
     if which not in ("Sn", *GROUPS):
         raise ValueError(f"which must be one of {('Sn', *GROUPS)}, got {which!r}")
@@ -167,6 +171,11 @@ def enumerate_group(n: int, which: str) -> list[GroupElement]:
         raise ValueError("n must be >= 1")
     if n > ENUMERATION_GUARD:
         raise TooLarge(f"enumeration is guarded at n <= {ENUMERATION_GUARD}")
+    order = group_order(n, which)
+    if order > WORK_GUARD:
+        raise TooLarge(
+            f"{which} has order {order} at n = {n}, above the work guard {WORK_GUARD}"
+        )
     if which == "Sn":
         twists = [(0,) * n]
     else:

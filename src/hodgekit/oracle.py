@@ -3,8 +3,11 @@
 Builds an explicit labeled basis of the n-th tensor power, applies group
 elements as signed permutations of basis labels, and reads invariant
 dimensions off the averaging projector: per bidegree, the average over the
-group of the signed count of fixed labels.  Deliberately shares no code
-with the symmetric-power production route or the class-sum audit route.
+group of the signed count of fixed labels.  Elements that share a
+permutation share its scan for fixed labels, and every element still adds
+the sign of each of its fixed labels over the explicit basis.  Deliberately
+shares no code with the symmetric-power production route or the class-sum
+audit route.
 """
 
 from __future__ import annotations
@@ -12,7 +15,14 @@ from __future__ import annotations
 import itertools
 
 from .bigraded import EquivHodgeTable, HodgeTable, IntegralityViolation
-from .group import GroupElement, TooLarge, enumerate_group
+from .group import (
+    ENUMERATION_GUARD,
+    WORK_GUARD,
+    GroupElement,
+    TooLarge,
+    enumerate_group,
+    group_order,
+)
 
 LABEL_GUARD = 20000
 
@@ -49,24 +59,67 @@ def apply_element(g: GroupElement, label: Label) -> tuple[Label, int]:
     slots are permuted.  Even degrees only, so permuting factors itself
     carries no sign.
     """
-    n = g.n
-    moved: list[SlotLabel] = [label[0]] * n
+    moved: list[SlotLabel] = [label[0]] * g.n
+    for m, target in enumerate(g.perm):
+        moved[target] = label[m]
+    return tuple(moved), _sign(_twisted_slots(g), label)
+
+
+def _twisted_slots(g: GroupElement) -> list[int]:
+    return [m for m, t in enumerate(g.twist) if t]
+
+
+def _sign(twisted: list[int], label: Label) -> int:
+    """Product of the eigen-signs of a label in the twisted slots."""
     sign = 1
-    for m in range(n):
-        moved[g.perm[m]] = label[m]
-        if g.twist[m]:
-            sign *= label[m][2]
-    return tuple(moved), sign
+    for m in twisted:
+        sign *= label[m][2]
+    return sign
+
+
+def _graded_basis(table: EquivHodgeTable, n: int) -> list[tuple[Label, tuple[int, int]]]:
+    """Every basis label paired with its bidegree.  Equal bidegrees share one
+    tuple, so the per-permutation lists of fixed pairs hold only references."""
+    degrees: dict[tuple[int, int], tuple[int, int]] = {}
+    out = []
+    for label in labeled_basis(table, n):
+        p = q = 0
+        for slot in label:
+            p += slot[0]
+            q += slot[1]
+        out.append((label, degrees.setdefault((p, q), (p, q))))
+    return out
+
+
+def _fixed(perm: tuple[int, ...], basis: list[tuple[Label, tuple[int, int]]]):
+    """The (label, bidegree) pairs whose label a permutation fixes.
+
+    Slot m moves to perm[m], so a label is fixed exactly when it agrees with
+    itself at perm[m] in every slot; a twist only sets the sign.
+    """
+    moves = list(enumerate(perm))
+    out = []
+    for pair in basis:
+        label = pair[0]
+        for m, target in moves:
+            if label[target] != label[m]:
+                break
+        else:
+            out.append(pair)
+    return out
+
+
+def _add_signed_counts(g: GroupElement, fixed, sums: dict[tuple[int, int], int]) -> None:
+    """Add g's signed count of its fixed labels, per bidegree, into sums."""
+    twisted = _twisted_slots(g)
+    for label, degree in fixed:
+        sums[degree] = sums.get(degree, 0) + _sign(twisted, label)
 
 
 def element_trace(g: GroupElement, table: EquivHodgeTable) -> dict[tuple[int, int], int]:
     """Signed count of fixed labels per bidegree: the graded matrix trace."""
     sums: dict[tuple[int, int], int] = {}
-    for label in labeled_basis(table, g.n):
-        moved, sign = apply_element(g, label)
-        if moved == label:
-            key = (sum(s[0] for s in label), sum(s[1] for s in label))
-            sums[key] = sums.get(key, 0) + sign
+    _add_signed_counts(g, _fixed(g.perm, _graded_basis(table, g.n)), sums)
     return {k: v for k, v in sums.items() if v}
 
 
@@ -74,26 +127,27 @@ def projector_invariant_dims(table: EquivHodgeTable, n: int, which: str) -> Hodg
     """Invariant dimensions via the explicit averaging projector.
 
     For every bidegree, dim = (1/|group|) * sum over elements of the signed
-    number of fixed labels.  Exact division is required.
+    number of fixed labels.  Elements sharing a permutation share its scan
+    for fixed labels; each element still adds its own signs.  Exact division
+    is required.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    labels = labeled_basis(table, n)
-    degrees = [(sum(s[0] for s in lab), sum(s[1] for s in lab)) for lab in labels]
+    basis = _graded_basis(table, n)
+    order = group_order(n, which)
+    # above the enumeration guard, enumerate_group refuses first, naming n
+    if n <= ENUMERATION_GUARD and len(basis) * order > WORK_GUARD:
+        raise TooLarge(
+            f"{len(basis)} labels x {order} elements of {which} at n = {n} "
+            f"exceed the oracle work guard {WORK_GUARD}"
+        )
     elements = enumerate_group(n, which)
+    fixed_by_perm: dict[tuple[int, ...], list] = {}
     sums: dict[tuple[int, int], int] = {}
     for g in elements:
-        perm, twist = g.perm, g.twist
-        for lab, degree in zip(labels, degrees):
-            sign = 1
-            for m in range(n):
-                slot = lab[m]
-                if lab[perm[m]] != slot:
-                    break
-                if twist[m]:
-                    sign *= slot[2]
-            else:
-                sums[degree] = sums.get(degree, 0) + sign
+        if g.perm not in fixed_by_perm:
+            fixed_by_perm[g.perm] = _fixed(g.perm, basis)
+        _add_signed_counts(g, fixed_by_perm[g.perm], sums)
     entries = {}
     for pq, value in sums.items():
         dim, rem = divmod(value, len(elements))

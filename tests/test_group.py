@@ -14,6 +14,7 @@ from hodgekit import group
 from hodgekit.bigraded import IntegralityViolation
 from hodgekit.group import (
     ENUMERATION_GUARD,
+    WORK_GUARD,
     GroupElement,
     SignedCycleType,
     TooLarge,
@@ -70,6 +71,24 @@ class TestEnumeration:
     def test_guard(self):
         with pytest.raises(TooLarge):
             enumerate_group(ENUMERATION_GUARD + 1, "G")
+
+    @pytest.mark.parametrize("which", ["G", "H"])
+    def test_order_bound(self, which, monkeypatch):
+        # both orders at n = 8 exceed the bound; no element may be built
+        import itertools
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("elements enumerated past the order bound")
+
+        monkeypatch.setattr(itertools, "permutations", refuse)
+        monkeypatch.setattr(itertools, "product", refuse)
+        order = group_order(8, which)
+        assert order > WORK_GUARD
+        with pytest.raises(TooLarge, match=f"order {order}"):
+            enumerate_group(8, which)
+
+    def test_sn_at_n8_within_order_bound(self):
+        assert len(enumerate_group(8, "Sn")) == math.factorial(8)
 
     def test_bad_token(self):
         with pytest.raises(ValueError):

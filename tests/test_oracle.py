@@ -1,12 +1,18 @@
 """Projector oracle: signed permutations on explicit tensor bases."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+from hodgekit import oracle
 from hodgekit.bigraded import EquivHodgeTable, k3_enriques
 from hodgekit.group import (
     ENUMERATION_GUARD,
+    WORK_GUARD,
     TooLarge,
     enumerate_group,
+    group_order,
     identity,
     signed_cycle_type,
     slot_twist,
@@ -50,6 +56,17 @@ class TestBasis:
         monkeypatch.setattr(itertools, "permutations", refuse)
         with pytest.raises(TooLarge, match=f"n <= {ENUMERATION_GUARD}"):
             projector_invariant_dims(EquivHodgeTable({(0, 0): (1, 0)}, 0), n, "Sn")
+
+    def test_work_guard(self, monkeypatch):
+        # one label passes the label guard, but 1 x |G| at n = 8 exceeds the
+        # work guard, which must trip before the group is enumerated
+        def refuse(*args):
+            raise AssertionError("group enumerated past the work guard")
+
+        monkeypatch.setattr(oracle, "enumerate_group", refuse)
+        order = group_order(8, "G")
+        with pytest.raises(TooLarge, match=f"1 labels x {order} elements .* {WORK_GUARD}"):
+            projector_invariant_dims(EquivHodgeTable({(0, 0): (1, 0)}, 0), 8, "G")
 
 
 class TestApplyElement:
@@ -144,3 +161,46 @@ class TestProjector:
         sn = projector_invariant_dims(plain, 2, "Sn")
         h = projector_invariant_dims(plain, 2, "H")
         assert sn == h  # twists act trivially when nothing is anti-invariant
+
+    @pytest.mark.parametrize("which", ["Sn", "G", "H"])
+    def test_equals_literal_average(self, which):
+        # (1/|group|) * sum over every element of its signed fixed labels,
+        # each label moved by apply_element: no sharing between elements
+        cases = [(table, n) for table in seeded_equiv_tables(8) for n in (1, 2, 3)]
+        cases += [(k3_enriques(), n) for n in (1, 2)]
+        for table, n in cases:
+            elements = enumerate_group(n, which)
+            sums = {}
+            for g in elements:
+                for lab in labeled_basis(table, n):
+                    moved, sign = apply_element(g, lab)
+                    if moved == lab:
+                        deg = (sum(s[0] for s in lab), sum(s[1] for s in lab))
+                        sums[deg] = sums.get(deg, 0) + sign
+            expected = {}
+            for deg, value in sums.items():
+                dim, rem = divmod(value, len(elements))
+                assert rem == 0
+                if dim:
+                    expected[deg] = dim
+            out = projector_invariant_dims(table, n, which)
+            assert dict(out.items()) == expected
+
+
+def test_oracle_imports_only_bigraded_and_group():
+    # the oracle shares no code with the production or class-sum routes
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [a.name for a in node.names]
+            if node.level:
+                modules.update(names)
+                continue
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        modules.update(name.removeprefix("hodgekit.") for name in names
+                       if name.startswith("hodgekit"))
+    assert modules == {"bigraded", "group"}
