@@ -31,6 +31,7 @@ LABEL_GUARD = 20000
 #: the tensor power is a tuple of slot labels.
 SlotLabel = tuple[int, int, int, int]
 Label = tuple[SlotLabel, ...]
+_Graded = tuple[Label, tuple[int, int]]
 
 
 def slot_basis(table: EquivHodgeTable) -> list[SlotLabel]:
@@ -77,7 +78,7 @@ def _sign(twisted: list[int], label: Label) -> int:
     return sign
 
 
-def _graded_basis(table: EquivHodgeTable, n: int) -> list[tuple[Label, tuple[int, int]]]:
+def _graded_basis(table: EquivHodgeTable, n: int) -> list[_Graded]:
     """Every basis label paired with its bidegree.  Equal bidegrees share one
     tuple, so the per-permutation lists of fixed pairs hold only references."""
     degrees: dict[tuple[int, int], tuple[int, int]] = {}
@@ -91,7 +92,7 @@ def _graded_basis(table: EquivHodgeTable, n: int) -> list[tuple[Label, tuple[int
     return out
 
 
-def _fixed(perm: tuple[int, ...], basis: list[tuple[Label, tuple[int, int]]]):
+def _fixed(perm: tuple[int, ...], basis: list[_Graded]) -> list[_Graded]:
     """The (label, bidegree) pairs whose label a permutation fixes.
 
     Slot m moves to perm[m], so a label is fixed exactly when it agrees with
@@ -109,7 +110,8 @@ def _fixed(perm: tuple[int, ...], basis: list[tuple[Label, tuple[int, int]]]):
     return out
 
 
-def _add_signed_counts(g: GroupElement, fixed, sums: dict[tuple[int, int], int]) -> None:
+def _add_signed_counts(g: GroupElement, fixed: list[_Graded],
+                       sums: dict[tuple[int, int], int]) -> None:
     """Add g's signed count of its fixed labels, per bidegree, into sums."""
     twisted = _twisted_slots(g)
     for label, degree in fixed:
@@ -127,9 +129,7 @@ def projector_invariant_dims(table: EquivHodgeTable, n: int, which: str) -> Hodg
     """Invariant dimensions via the explicit averaging projector.
 
     For every bidegree, dim = (1/|group|) * sum over elements of the signed
-    number of fixed labels.  Elements sharing a permutation share its scan
-    for fixed labels; each element still adds its own signs.  Exact division
-    is required.
+    number of fixed labels.  Exact division is required.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -142,7 +142,7 @@ def projector_invariant_dims(table: EquivHodgeTable, n: int, which: str) -> Hodg
             f"exceed the oracle work guard {WORK_GUARD}"
         )
     elements = enumerate_group(n, which)
-    fixed_by_perm: dict[tuple[int, ...], list] = {}
+    fixed_by_perm: dict[tuple[int, ...], list[_Graded]] = {}
     sums: dict[tuple[int, int], int] = {}
     for g in elements:
         if g.perm not in fixed_by_perm:
