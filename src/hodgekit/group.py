@@ -140,22 +140,32 @@ def _canonical(parts):
     return tuple(sorted(parts, key=lambda lt: (-lt[0], lt[1])))
 
 
+def _cycles(perm: tuple[int, ...]) -> list[list[int]]:
+    """The cycles of a permutation, each as the list of slots it visits."""
+    seen = [False] * len(perm)
+    out = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cycle, m = [], start
+        while not seen[m]:
+            seen[m] = True
+            cycle.append(m)
+            m = perm[m]
+        out.append(cycle)
+    return out
+
+
+def _raw_parts(cycles: list[list[int]], twist: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(length, parity) of each cycle, in the order given, where the parity
+    is the XOR of the twists over the slots of that cycle."""
+    return tuple((len(c), sum(twist[m] for m in c) % 2) for c in cycles)
+
+
 def signed_cycle_type(g: GroupElement) -> SignedCycleType:
     """Cycle lengths of the permutation, each tagged with the XOR of the
     twists over the slots of that cycle."""
-    seen = [False] * g.n
-    parts = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        length, parity, m = 0, 0, start
-        while not seen[m]:
-            seen[m] = True
-            parity ^= g.twist[m]
-            length += 1
-            m = g.perm[m]
-        parts.append((length, parity))
-    return SignedCycleType(tuple(parts))
+    return SignedCycleType(_raw_parts(_cycles(g.perm), g.twist))
 
 
 def enumerate_group(n: int, which: str) -> list[GroupElement]:
@@ -183,6 +193,29 @@ def enumerate_group(n: int, which: str) -> list[GroupElement]:
                   if which == "G" or sum(t) % 2 == 0]
     return [GroupElement(perm, twist)
             for perm in itertools.permutations(range(n)) for twist in twists]
+
+
+def element_census(n: int, which: str) -> list[tuple[SignedCycleType, int]]:
+    """Signed cycle types of the elements of :func:`enumerate_group`, each
+    with how many elements have it, ordered as :func:`classes`.
+
+    Every element is visited; the cycles of each permutation are found once
+    and shared by the elements over it.
+    """
+    cycles_by_perm: dict[tuple[int, ...], list[list[int]]] = {}
+    raw: dict[tuple[tuple[int, int], ...], int] = {}
+    for g in enumerate_group(n, which):
+        cycles = cycles_by_perm.get(g.perm)
+        if cycles is None:
+            cycles = cycles_by_perm[g.perm] = _cycles(g.perm)
+        parts = _raw_parts(cycles, g.twist)
+        raw[parts] = raw.get(parts, 0) + 1
+    tally: dict[tuple[tuple[int, int], ...], int] = {}
+    for parts, count in raw.items():
+        key = _canonical(parts)
+        tally[key] = tally.get(key, 0) + count
+    return sorted(((SignedCycleType(parts), count) for parts, count in tally.items()),
+                  key=lambda pair: pair[0].parts)
 
 
 def group_order(n: int, which: str) -> int:

@@ -3,11 +3,12 @@
 Builds an explicit labeled basis of the n-th tensor power, applies group
 elements as signed permutations of basis labels, and reads invariant
 dimensions off the averaging projector: per bidegree, the average over the
-group of the signed count of fixed labels.  Elements that share a
-permutation share its scan for fixed labels, and every element still adds
-the sign of each of its fixed labels over the explicit basis.  Deliberately
-shares no code with the symmetric-power production route or the class-sum
-audit route.
+group of the signed count of fixed labels.  A label's kind, the (p, q,
+eigen) of each of its slots, fixes its bidegree and its sign under every
+twist.  Each permutation's scan tests every label of the explicit basis and
+counts the fixed ones per kind; every element of the group still adds its
+own signed count per kind.  Deliberately shares no code with the
+symmetric-power production route or the class-sum audit route.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ LABEL_GUARD = 20000
 #: the tensor power is a tuple of slot labels.
 SlotLabel = tuple[int, int, int, int]
 Label = tuple[SlotLabel, ...]
-_Graded = tuple[Label, tuple[int, int]]
+#: A label's kind: the (p, q, eigen) of each slot.
+_Kind = tuple[tuple[int, int, int], ...]
 
 
 def slot_basis(table: EquivHodgeTable) -> list[SlotLabel]:
@@ -43,14 +45,27 @@ def slot_basis(table: EquivHodgeTable) -> list[SlotLabel]:
     return out
 
 
-def labeled_basis(table: EquivHodgeTable, n: int) -> list[Label]:
-    """All basis labels of the n-th tensor power, guarded in size."""
+def _keyed_basis(table: EquivHodgeTable, n: int) -> list[tuple[Label, _Kind]]:
+    """Every basis label of the n-th tensor power with its kind, guarded in
+    size.  Built kind by kind, so labels of one kind share one kind tuple."""
     single = slot_basis(table)
     if len(single) ** n > LABEL_GUARD:
         raise TooLarge(
             f"{len(single)}^{n} labels exceed the oracle guard {LABEL_GUARD}"
         )
-    return list(itertools.product(single, repeat=n))
+    by_kind: dict[tuple[int, int, int], list[SlotLabel]] = {}
+    for slot in single:
+        by_kind.setdefault(slot[:3], []).append(slot)
+    out = []
+    for kind in itertools.product(by_kind, repeat=n):
+        out += [(label, kind)
+                for label in itertools.product(*(by_kind[s] for s in kind))]
+    return out
+
+
+def labeled_basis(table: EquivHodgeTable, n: int) -> list[Label]:
+    """All basis labels of the n-th tensor power, guarded in size."""
+    return [label for label, _ in _keyed_basis(table, n)]
 
 
 def apply_element(g: GroupElement, label: Label) -> tuple[Label, int]:
@@ -70,59 +85,56 @@ def _twisted_slots(g: GroupElement) -> list[int]:
     return [m for m, t in enumerate(g.twist) if t]
 
 
-def _sign(twisted: list[int], label: Label) -> int:
-    """Product of the eigen-signs of a label in the twisted slots."""
+def _sign(twisted: list[int], label: Label | _Kind) -> int:
+    """Product of the eigen-signs of a label, or a kind, in the twisted
+    slots."""
     sign = 1
     for m in twisted:
         sign *= label[m][2]
     return sign
 
 
-def _graded_basis(table: EquivHodgeTable, n: int) -> list[_Graded]:
-    """Every basis label paired with its bidegree.  Equal bidegrees share one
-    tuple, so the per-permutation lists of fixed pairs hold only references."""
-    degrees: dict[tuple[int, int], tuple[int, int]] = {}
-    out = []
-    for label in labeled_basis(table, n):
-        p = q = 0
-        for slot in label:
-            p += slot[0]
-            q += slot[1]
-        out.append((label, degrees.setdefault((p, q), (p, q))))
-    return out
-
-
-def _fixed(perm: tuple[int, ...], basis: list[_Graded]) -> list[_Graded]:
-    """The (label, bidegree) pairs whose label a permutation fixes.
+def _fixed_counts(perm: tuple[int, ...],
+                  basis: list[tuple[Label, _Kind]]) -> dict[_Kind, int]:
+    """How many labels of each kind a permutation fixes.
 
     Slot m moves to perm[m], so a label is fixed exactly when it agrees with
-    itself at perm[m] in every slot; a twist only sets the sign.
+    itself at perm[m] in every slot; a twist only sets the sign, and a slot
+    the permutation keeps in place always agrees.
     """
-    moves = list(enumerate(perm))
-    out = []
-    for pair in basis:
-        label = pair[0]
+    moves = [(m, target) for m, target in enumerate(perm) if m != target]
+    counts: dict[_Kind, int] = {}
+    for label, kind in basis:
         for m, target in moves:
             if label[target] != label[m]:
                 break
         else:
-            out.append(pair)
-    return out
+            counts[kind] = counts.get(kind, 0) + 1
+    return counts
 
 
-def _add_signed_counts(g: GroupElement, fixed: list[_Graded],
-                       sums: dict[tuple[int, int], int]) -> None:
-    """Add g's signed count of its fixed labels, per bidegree, into sums."""
+def _add_signed_counts(g: GroupElement, counts: dict[_Kind, int],
+                       sums: dict[_Kind, int]) -> None:
+    """Add g's signed count of its fixed labels, per kind, into sums."""
     twisted = _twisted_slots(g)
-    for label, degree in fixed:
-        sums[degree] = sums.get(degree, 0) + _sign(twisted, label)
+    for kind, count in counts.items():
+        sums[kind] = sums.get(kind, 0) + count * _sign(twisted, kind)
+
+
+def _by_degree(sums: dict[_Kind, int]) -> dict[tuple[int, int], int]:
+    """Fold per-kind sums into per-bidegree sums."""
+    out: dict[tuple[int, int], int] = {}
+    for kind, value in sums.items():
+        pq = (sum(s[0] for s in kind), sum(s[1] for s in kind))
+        out[pq] = out.get(pq, 0) + value
+    return out
 
 
 def element_trace(g: GroupElement, table: EquivHodgeTable) -> dict[tuple[int, int], int]:
     """Signed count of fixed labels per bidegree: the graded matrix trace."""
-    sums: dict[tuple[int, int], int] = {}
-    _add_signed_counts(g, _fixed(g.perm, _graded_basis(table, g.n)), sums)
-    return {k: v for k, v in sums.items() if v}
+    sums: dict[_Kind, int] = {}
+    _add_signed_counts(g, _fixed_counts(g.perm, _keyed_basis(table, g.n)), sums)
+    return {k: v for k, v in _by_degree(sums).items() if v}
 
 
 def projector_invariant_dims(table: EquivHodgeTable, n: int, which: str) -> HodgeTable:
@@ -133,7 +145,7 @@ def projector_invariant_dims(table: EquivHodgeTable, n: int, which: str) -> Hodg
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    basis = _graded_basis(table, n)
+    basis = _keyed_basis(table, n)
     order = group_order(n, which)
     # above the enumeration guard, enumerate_group refuses first, naming n
     if n <= ENUMERATION_GUARD and len(basis) * order > WORK_GUARD:
@@ -142,14 +154,14 @@ def projector_invariant_dims(table: EquivHodgeTable, n: int, which: str) -> Hodg
             f"exceed the oracle work guard {WORK_GUARD}"
         )
     elements = enumerate_group(n, which)
-    fixed_by_perm: dict[tuple[int, ...], list[_Graded]] = {}
-    sums: dict[tuple[int, int], int] = {}
+    counts_by_perm: dict[tuple[int, ...], dict[_Kind, int]] = {}
+    sums: dict[_Kind, int] = {}
     for g in elements:
-        if g.perm not in fixed_by_perm:
-            fixed_by_perm[g.perm] = _fixed(g.perm, basis)
-        _add_signed_counts(g, fixed_by_perm[g.perm], sums)
+        if g.perm not in counts_by_perm:
+            counts_by_perm[g.perm] = _fixed_counts(g.perm, basis)
+        _add_signed_counts(g, counts_by_perm[g.perm], sums)
     entries = {}
-    for pq, value in sums.items():
+    for pq, value in _by_degree(sums).items():
         dim, rem = divmod(value, len(elements))
         if rem != 0 or dim < 0:
             raise IntegralityViolation(

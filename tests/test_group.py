@@ -20,6 +20,7 @@ from hodgekit.group import (
     TooLarge,
     class_size,
     classes,
+    element_census,
     enumerate_group,
     group_order,
     identity,
@@ -173,6 +174,7 @@ class TestClasses:
                     census[ct] = census.get(ct, 0) + 1
                 grouped = sorted(census.items(), key=lambda kv: kv[0].parts)
                 assert grouped == classes(n, which)
+                assert element_census(n, which) == grouped
 
     def test_class_size_single_cycle(self):
         # one untwisted n-cycle: n! * 2^(n-1) / n

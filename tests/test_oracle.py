@@ -44,6 +44,20 @@ class TestBasis:
         with pytest.raises(TooLarge):
             labeled_basis(k3_enriques(), 4)
 
+    def test_keyed_basis(self):
+        cases = [(k3_enriques(), n) for n in (1, 2)]
+        cases += [(table, n) for table in seeded_equiv_tables(8) for n in (1, 2, 3)]
+        for table, n in cases:
+            keyed = oracle._keyed_basis(table, n)
+            labels = labeled_basis(table, n)
+            assert labels == [label for label, _ in keyed]
+            assert len(set(labels)) == len(labels) == table.total_dim() ** n
+            for label, kind in keyed:
+                # the kind holds each slot's bidegree and eigen-sign
+                assert kind == tuple((p, q, eigen) for p, q, eigen, _ in label)
+        with pytest.raises(TooLarge, match=r"24\^4 labels exceed the oracle guard 20000"):
+            oracle._keyed_basis(k3_enriques(), 4)
+
     @pytest.mark.parametrize("n", [ENUMERATION_GUARD + 1, 20])
     def test_sn_enumeration_guard(self, n, monkeypatch):
         # one label per slot passes the label guard; the element guard must
@@ -185,6 +199,31 @@ class TestProjector:
                     expected[deg] = dim
             out = projector_invariant_dims(table, n, which)
             assert dict(out.items()) == expected
+
+
+    @pytest.mark.parametrize("which", ["Sn", "G", "H"])
+    def test_visits_every_element_and_scans_each_permutation_once(
+            self, which, monkeypatch):
+        table, n = k3_enriques(), 3
+        scanned, visited = [], []
+        fixed_counts, add_signed_counts = oracle._fixed_counts, oracle._add_signed_counts
+
+        def scan(perm, basis):
+            scanned.append((perm, len(basis)))
+            return fixed_counts(perm, basis)
+
+        def add(g, counts, sums):
+            visited.append(g)
+            add_signed_counts(g, counts, sums)
+
+        monkeypatch.setattr(oracle, "_fixed_counts", scan)
+        monkeypatch.setattr(oracle, "_add_signed_counts", add)
+        out = projector_invariant_dims(table, n, which)
+        elements = enumerate_group(n, which)
+        assert visited == elements
+        perms = list(dict.fromkeys(g.perm for g in elements))
+        assert scanned == [(perm, table.total_dim() ** n) for perm in perms]
+        assert out == invariant_dims(table, n, which)
 
 
 def test_oracle_imports_only_bigraded_and_group():
