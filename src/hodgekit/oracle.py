@@ -45,9 +45,9 @@ def slot_basis(table: EquivHodgeTable) -> list[SlotLabel]:
     return out
 
 
-def _keyed_basis(table: EquivHodgeTable, n: int) -> list[tuple[Label, _Kind]]:
-    """Every basis label of the n-th tensor power with its kind, guarded in
-    size.  Built kind by kind, so labels of one kind share one kind tuple."""
+def _keyed_basis(table: EquivHodgeTable, n: int) -> list[tuple[_Kind, list[Label]]]:
+    """The basis labels of the n-th tensor power grouped by kind, one entry
+    per kind, guarded in size."""
     single = slot_basis(table)
     if len(single) ** n > LABEL_GUARD:
         raise TooLarge(
@@ -56,16 +56,13 @@ def _keyed_basis(table: EquivHodgeTable, n: int) -> list[tuple[Label, _Kind]]:
     by_kind: dict[tuple[int, int, int], list[SlotLabel]] = {}
     for slot in single:
         by_kind.setdefault(slot[:3], []).append(slot)
-    out = []
-    for kind in itertools.product(by_kind, repeat=n):
-        out += [(label, kind)
-                for label in itertools.product(*(by_kind[s] for s in kind))]
-    return out
+    return [(kind, list(itertools.product(*(by_kind[s] for s in kind))))
+            for kind in itertools.product(by_kind, repeat=n)]
 
 
 def labeled_basis(table: EquivHodgeTable, n: int) -> list[Label]:
     """All basis labels of the n-th tensor power, guarded in size."""
-    return [label for label, _ in _keyed_basis(table, n)]
+    return [label for _, labels in _keyed_basis(table, n) for label in labels]
 
 
 def apply_element(g: GroupElement, label: Label) -> tuple[Label, int]:
@@ -95,7 +92,7 @@ def _sign(twisted: list[int], label: Label | _Kind) -> int:
 
 
 def _fixed_counts(perm: tuple[int, ...],
-                  basis: list[tuple[Label, _Kind]]) -> dict[_Kind, int]:
+                  basis: list[tuple[_Kind, list[Label]]]) -> dict[_Kind, int]:
     """How many labels of each kind a permutation fixes.
 
     Slot m moves to perm[m], so a label is fixed exactly when it agrees with
@@ -104,12 +101,16 @@ def _fixed_counts(perm: tuple[int, ...],
     """
     moves = [(m, target) for m, target in enumerate(perm) if m != target]
     counts: dict[_Kind, int] = {}
-    for label, kind in basis:
-        for m, target in moves:
-            if label[target] != label[m]:
-                break
-        else:
-            counts[kind] = counts.get(kind, 0) + 1
+    for kind, labels in basis:
+        fixed = 0
+        for label in labels:
+            for m, target in moves:
+                if label[target] != label[m]:
+                    break
+            else:
+                fixed += 1
+        if fixed:
+            counts[kind] = fixed
     return counts
 
 
@@ -146,11 +147,12 @@ def projector_invariant_dims(table: EquivHodgeTable, n: int, which: str) -> Hodg
     if n < 1:
         raise ValueError("n must be >= 1")
     basis = _keyed_basis(table, n)
+    labels = sum(len(of_kind) for _, of_kind in basis)
     order = group_order(n, which)
     # above the enumeration guard, enumerate_group refuses first, naming n
-    if n <= ENUMERATION_GUARD and len(basis) * order > WORK_GUARD:
+    if n <= ENUMERATION_GUARD and labels * order > WORK_GUARD:
         raise TooLarge(
-            f"{len(basis)} labels x {order} elements of {which} at n = {n} "
+            f"{labels} labels x {order} elements of {which} at n = {n} "
             f"exceed the oracle work guard {WORK_GUARD}"
         )
     elements = enumerate_group(n, which)

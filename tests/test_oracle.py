@@ -50,11 +50,12 @@ class TestBasis:
         for table, n in cases:
             keyed = oracle._keyed_basis(table, n)
             labels = labeled_basis(table, n)
-            assert labels == [label for label, _ in keyed]
+            assert labels == [label for _, of_kind in keyed for label in of_kind]
             assert len(set(labels)) == len(labels) == table.total_dim() ** n
-            for label, kind in keyed:
-                # the kind holds each slot's bidegree and eigen-sign
-                assert kind == tuple((p, q, eigen) for p, q, eigen, _ in label)
+            for kind, of_kind in keyed:
+                for label in of_kind:
+                    # the kind holds each slot's bidegree and eigen-sign
+                    assert kind == tuple((p, q, eigen) for p, q, eigen, _ in label)
         with pytest.raises(TooLarge, match=r"24\^4 labels exceed the oracle guard 20000"):
             oracle._keyed_basis(k3_enriques(), 4)
 
@@ -209,7 +210,7 @@ class TestProjector:
         fixed_counts, add_signed_counts = oracle._fixed_counts, oracle._add_signed_counts
 
         def scan(perm, basis):
-            scanned.append((perm, len(basis)))
+            scanned.append((perm, sum(len(labels) for _, labels in basis)))
             return fixed_counts(perm, basis)
 
         def add(g, counts, sums):
