@@ -159,7 +159,13 @@ def _cycles(perm: tuple[int, ...]) -> list[list[int]]:
 def _raw_parts(cycles: list[list[int]], twist: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """(length, parity) of each cycle, in the order given, where the parity
     is the XOR of the twists over the slots of that cycle."""
-    return tuple((len(c), sum(twist[m] for m in c) % 2) for c in cycles)
+    parts = []
+    for cycle in cycles:
+        parity = 0
+        for m in cycle:
+            parity ^= twist[m]
+        parts.append((len(cycle), parity))
+    return tuple(parts)
 
 
 def signed_cycle_type(g: GroupElement) -> SignedCycleType:
