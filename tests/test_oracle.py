@@ -201,7 +201,6 @@ class TestProjector:
             out = projector_invariant_dims(table, n, which)
             assert dict(out.items()) == expected
 
-
     @pytest.mark.parametrize("which", ["Sn", "G", "H"])
     def test_visits_every_element_and_scans_each_permutation_once(
             self, which, monkeypatch):
