@@ -29,7 +29,6 @@ from .cover import (
     cover_diamond_n2,
     exceptional_orbits,
     h2_cover,
-    h_top_minus,
 )
 from .group import (
     GroupElement,
@@ -40,12 +39,7 @@ from .group import (
     group_order,
     signed_cycle_type,
 )
-from .hilbert import (
-    MismatchReport,
-    euler_check,
-    h_one_top,
-    hilbert_diamond,
-)
+from .hilbert import hilbert_diamond, hilbert_series
 from .invariants import (
     class_sum_dims,
     class_trace,
@@ -63,7 +57,6 @@ __all__ = [
     "GroupElement",
     "HodgeTable",
     "IntegralityViolation",
-    "MismatchReport",
     "NegativeIndex",
     "OddCohomologyUnsupported",
     "SignedCycleType",
@@ -77,14 +70,12 @@ __all__ = [
     "direct_sum",
     "enriques",
     "enumerate_group",
-    "euler_check",
     "exceptional_orbits",
     "format_diamond",
     "group_order",
     "h2_cover",
-    "h_one_top",
-    "h_top_minus",
     "hilbert_diamond",
+    "hilbert_series",
     "invariant_dims",
     "k3",
     "k3_enriques",

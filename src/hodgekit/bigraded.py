@@ -56,6 +56,18 @@ def _validated_entries(entries, dimension):
     return clean
 
 
+def _first_failure(table, rules=("Hodge symmetry", "Serre duality")):
+    """(rule, (p, q), (s, t)) for the first sorted entry unequal to its mirror,
+    (q, p) under Hodge symmetry or (n-p, n-q) under Serre duality; else None."""
+    n = table.dimension
+    for (p, q), d in table.items():
+        for rule in rules:
+            s, t = (q, p) if rule == "Hodge symmetry" else (n - p, n - q)
+            if table[s, t] != d:
+                return rule, (p, q), (s, t)
+    return None
+
+
 def _reject_odd(bidegrees) -> None:
     for p, q in bidegrees:
         if (p + q) % 2:
@@ -120,13 +132,12 @@ class HodgeTable:
 
     def is_symmetric(self) -> bool:
         """Conjugation symmetry: h^{p,q} = h^{q,p}."""
-        return all(self[q, p] == d for (p, q), d in self._entries.items())
+        return _first_failure(self, ("Hodge symmetry",)) is None
 
     def satisfies_duality(self) -> bool:
         """Poincare duality against the declared dimension:
         h^{p,q} = h^{n-p,n-q} with n the complex dimension."""
-        n = self.dimension
-        return all(self[n - p, n - q] == d for (p, q), d in self._entries.items())
+        return _first_failure(self, ("Serre duality",)) is None
 
     def __add__(self, other: "HodgeTable") -> "HodgeTable":
         return direct_sum(self, other)
@@ -333,13 +344,12 @@ def parse_surface_spec(data) -> tuple[str, EquivHodgeTable]:
             raise ValueError(f"surface spec: negative dimension at ({p}, {q})")
     table = EquivHodgeTable(entries, dimension)
     for sign, part in (("+", table.plus_part()), ("-", table.minus_part())):
-        for (p, q), d in part.items():
-            for rule, (s, t) in (("Hodge symmetry", (q, p)),
-                                 ("Serre duality", (dimension - p, dimension - q))):
-                if part[s, t] != d:
-                    raise ValueError(
-                        f"surface spec: {rule} fails in the {sign} eigenspace: "
-                        f"h^({p},{q}) = {d} but h^({s},{t}) = {part[s, t]}")
+        failure = _first_failure(part)
+        if failure:
+            rule, (p, q), (s, t) = failure
+            raise ValueError(
+                f"surface spec: {rule} fails in the {sign} eigenspace: "
+                f"h^({p},{q}) = {part[p, q]} but h^({s},{t}) = {part[s, t]}")
     return name, table
 
 

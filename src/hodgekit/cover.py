@@ -105,12 +105,3 @@ def h2_cover(n: int) -> int:
     inv = invariant_dims(k3_enriques(), n, "H")
     weight2 = inv.betti(2)
     return weight2 + exceptional_orbits(n)
-
-
-def h_top_minus(n: int) -> int:
-    """dim of the (2n-1, 1) piece of the quotient of the n-fold K3 product
-    by the even-twist group; constantly 10 (the antiinvariant (1,1)-classes
-    paired against top forms survive exactly once)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return invariant_dims(k3_enriques(), n, "H")[2 * n - 1, 1]

@@ -3,8 +3,8 @@
 Goettsche's product (Math. Ann. 286, 1990) holds every diamond up to a bound:
 H(t) = sum_n h(Hilb^n S) t^n = prod_{k>=1} sum_{a>=0} Sym^a(S) (uv)^((k-1)a) t^(ka),
 where (uv)^j shifts a diamond diagonally by j.  Taking t d/dt log H(t) gives
-Newton's recurrence n * H_n = sum_{j=1..n} Q_j * H_(n-j), as for symmetric powers.
-The Euler product prod_m (1 - q^m)^(-e) cross-checks the assembly independently.
+Newton's recurrence n * H_n = sum_{j=1..n} Q_j * H_(n-j) for the whole series at once.
+The Euler product prod_m (1 - q^m)^(-e) audits its Euler numbers independently.
 """
 
 from __future__ import annotations
@@ -16,19 +16,6 @@ from .bigraded import HodgeTable, direct_sum, tensor
 from .invariants import _adams, _newton
 
 
-class MismatchReport(RuntimeError):
-    """Assembled Euler numbers disagree with the generating function."""
-
-    def __init__(self, n: int, assembled: int, expected: int):
-        self.n = n
-        self.assembled = assembled
-        self.expected = expected
-        super().__init__(
-            f"Euler mismatch at n={n}: assembled {assembled}, "
-            f"generating function {expected}"
-        )
-
-
 def _log_term(surface: HodgeTable, j: int) -> HodgeTable:
     """Q_j = sum_{r | j} (j/r) (uv)^(j-r) psi^r(S): the t^j coefficient of
     t d/dt log H(t)."""
@@ -37,9 +24,11 @@ def _log_term(surface: HodgeTable, j: int) -> HodgeTable:
                                for r in range(1, j + 1) if j % r == 0))
 
 
-def _hilbert_series(surface: HodgeTable, n_max: int) -> list[HodgeTable]:
+def hilbert_series(surface: HodgeTable, n_max: int) -> list[HodgeTable]:
     """Diamonds of Hilb^0..Hilb^n_max, each of dimension n * dim(S), by
     Newton's recurrence n * H_n = sum_j Q_j * H_(n-j) on log H(t)."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     return _newton([_log_term(surface, j) for j in range(1, n_max + 1)],
                    surface.dimension)
 
@@ -49,19 +38,7 @@ def hilbert_diamond(surface: HodgeTable, n: int) -> HodgeTable:
     coefficient of the Goettsche product."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _hilbert_series(surface, n)[n]
-
-
-def h_one_top(surface: HodgeTable, n: int) -> int:
-    """The (1, 2n-1) entry of the Hilbert-scheme diamond.
-
-    Vanishes for surfaces with no (0, 1)/(0, 2) cohomology (e.g. Enriques
-    surfaces); this is the obstruction slot for extra deformations of the
-    universal cover.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return hilbert_diamond(surface, n)[1, 2 * n - 1]
+    return hilbert_series(surface, n)[n]
 
 
 def euler_product_coefficients(e: int, n_max: int) -> list[int]:
@@ -85,23 +62,3 @@ def euler_product_coefficients(e: int, n_max: int) -> list[int]:
                     new[base + off] += c * f
         coeffs = new
     return coeffs
-
-
-def euler_check(surface: HodgeTable, n_max: int) -> list[tuple[int, int, int]]:
-    """Compare assembled Euler numbers with the generating function.
-
-    Returns (n, assembled, generating-function) rows for n = 1..n_max; the
-    two columns are computed along fully independent paths.  Raises
-    MismatchReport at the first disagreement.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    expected = euler_product_coefficients(surface.euler(), n_max)
-    series = _hilbert_series(surface, n_max)
-    rows = []
-    for n in range(1, n_max + 1):
-        assembled = series[n].euler()
-        if assembled != expected[n]:
-            raise MismatchReport(n, assembled, expected[n])
-        rows.append((n, assembled, expected[n]))
-    return rows

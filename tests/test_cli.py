@@ -197,6 +197,32 @@ class TestVerifyPaper:
         for r in run_paper_checks(3):
             assert r.provenance in ("PAPER", "DERIVED")
 
+    def test_euler_mismatch_reports_fail_rows(self, capsys, monkeypatch):
+        # a wrong generating function must surface as fail rows and exit 1,
+        # with the rest of the report intact, not as a traceback
+        monkeypatch.setattr(cli, "euler_product_coefficients",
+                            lambda e, n_max: [1] + [0] * n_max)
+        code, out, err = run_main(capsys, "verify-paper", "--n-max", "3",
+                                  "--format", "csv")
+        assert code == 1
+        rows = out.splitlines()[1:]
+        assert len(rows) == len(run_paper_checks(3))
+        failed = [row.split(",")[0] for row in rows if row.endswith(",fail")]
+        assert failed == ["080-euler-gf-enriques", "080-euler-gf-k3"]
+        assert "fail: 2" in err
+
+    def test_one_hilbert_series_per_surface(self, monkeypatch):
+        built = []
+        series = cli.hilbert_series
+
+        def counted(surface, n_max):
+            built.append(n_max)
+            return series(surface, n_max)
+
+        monkeypatch.setattr(cli, "hilbert_series", counted)
+        run_paper_checks(6)
+        assert built == [6, 6]
+
 
 def run_module(*argv):
     """``python -m hodgekit.cli`` in a child that imports the package under

@@ -11,7 +11,6 @@ from hodgekit.cover import (
     cover_diamond_n2,
     exceptional_orbits,
     h2_cover,
-    h_top_minus,
 )
 from hodgekit.group import enumerate_group
 from hodgekit.hilbert import hilbert_diamond
@@ -139,7 +138,7 @@ class TestH2Cover:
 class TestHTopMinus:
     def test_all_ten(self):
         for n in range(2, 9):
-            assert h_top_minus(n) == 10
+            assert invariant_dims(k3_enriques(), n, "H")[2 * n - 1, 1] == 10
 
     def test_conjugate_slot(self):
         for n in (2, 3, 4):

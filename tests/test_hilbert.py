@@ -16,13 +16,7 @@ from hodgekit.bigraded import (
     shift_by,
     tensor,
 )
-from hodgekit.hilbert import (
-    MismatchReport,
-    euler_check,
-    euler_product_coefficients,
-    h_one_top,
-    hilbert_diamond,
-)
+from hodgekit.hilbert import euler_product_coefficients, hilbert_diamond, hilbert_series
 from hodgekit.invariants import sym_product
 
 from conftest import hodge_tables
@@ -147,10 +141,30 @@ class TestHilbertDiamond:
             hilbert_diamond(enriques(), 2)
 
 
+class TestHilbertSeries:
+    def test_every_entry_equals_the_reference(self):
+        series = hilbert_series(k3(), 5)
+        assert series[0] == point()
+        assert series[1:] == [partition_sum_diamond(k3(), n) for n in range(1, 6)]
+        assert [d.dimension for d in series] == [0, 2, 4, 6, 8, 10]
+
+    def test_empty_bound_is_the_point(self):
+        assert hilbert_series(k3(), 0) == [point()]
+
+    def test_negative_bound_refused(self):
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            hilbert_series(k3(), -1)
+
+
+def series_euler(surface, n_max):
+    return [d.euler() for d in hilbert_series(surface, n_max)]
+
+
 class TestHOneTop:
     def test_enriques_vanishes(self):
+        series = hilbert_series(enriques(), 6)
         for n in range(2, 7):
-            assert h_one_top(enriques(), n) == 0
+            assert series[n][1, 2 * n - 1] == 0
 
     def test_conjugate_slot_vanishes_too(self):
         for n in range(2, 7):
@@ -159,46 +173,28 @@ class TestHOneTop:
     def test_k3_square_value(self):
         # nonzero for K3: the (1,3) slot of the Hilbert square is the
         # classical 21 = 20 + 1
-        assert h_one_top(k3(), 2) == 21
+        assert hilbert_series(k3(), 2)[2][1, 3] == 21
 
 
 class TestEulerCheck:
     def test_enriques_row_two(self):
-        rows = euler_check(enriques(), 2)
-        assert rows[1] == (2, 90, 90)
+        assert series_euler(enriques(), 2)[2] == euler_product_coefficients(12, 2)[2] == 90
 
     def test_k3_first_rows(self):
-        rows = euler_check(k3(), 2)
-        assert rows[0] == (1, 24, 24)
-        assert rows[1] == (2, 324, 324)
+        assert series_euler(k3(), 2) == euler_product_coefficients(24, 2) == [1, 24, 324]
 
     def test_passes_up_to_six(self):
         for surface in (enriques(), k3()):
-            for n, assembled, generating in euler_check(surface, 6):
-                assert assembled == generating
+            assert series_euler(surface, 6) == euler_product_coefficients(surface.euler(), 6)
 
     def test_generating_function_coefficients(self):
         assert euler_product_coefficients(12, 3) == [1, 12, 90, 520]
         assert euler_product_coefficients(24, 2) == [1, 24, 324]
         assert euler_product_coefficients(0, 3) == [1, 0, 0, 0]
 
-    def test_mismatch_reported_with_first_n(self, monkeypatch):
-        # corrupt the generating-function column to prove the guard trips
-        from hodgekit import hilbert as mod
-
-        def wrong(e, n_max):
-            return [1] + [0] * n_max
-
-        monkeypatch.setattr(mod, "euler_product_coefficients", wrong)
-        with pytest.raises(MismatchReport) as err:
-            euler_check(enriques(), 3)
-        assert err.value.n == 1
-        assert err.value.assembled == 12
-
     def test_custom_even_surface(self):
         # the assembly/generating-function identity is formal: it holds for
         # any even-degree symmetric table, not just the presets
         custom = HodgeTable({(0, 0): 1, (1, 1): 3, (2, 0): 2, (0, 2): 2,
                              (2, 2): 1}, 2)
-        for n, assembled, generating in euler_check(custom, 4):
-            assert assembled == generating
+        assert series_euler(custom, 4) == euler_product_coefficients(custom.euler(), 4)
