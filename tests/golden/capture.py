@@ -31,7 +31,18 @@ def cases() -> list[tuple[str, list[str]]]:
     out = [("verify-paper-n6.json",
             ["verify-paper", "--n-max", "6", "--format", "json"]),
            ("verify-paper-n12.json",
-            ["verify-paper", "--n-max", "12", "--format", "json"])]
+            ["verify-paper", "--n-max", "12", "--format", "json"]),
+           # The table and csv renderers, each pinned on both commands.
+           ("verify-paper-n6.csv",
+            ["verify-paper", "--n-max", "6", "--format", "csv"]),
+           ("verify-paper-n6.txt",
+            ["verify-paper", "--n-max", "6", "--format", "table"]),
+           ("diamond-k3_enriques-cover-2.csv",
+            ["diamond", "--preset", "k3_enriques", "--format", "csv",
+             "cover", "2"]),
+           ("diamond-k3_enriques-quotient-H-5.txt",
+            ["diamond", "--preset", "k3_enriques", "--format", "table",
+             "quotient", "5", "H"])]
     for preset in PRESETS:
         for op, *group in OPERATIONS:
             for n in SIZES:
