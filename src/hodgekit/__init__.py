@@ -28,7 +28,6 @@ from .cover import (
     blowup_assemble,
     cover_diamond_n2,
     exceptional_orbits,
-    h2_cover,
 )
 from .group import (
     GroupElement,
@@ -73,7 +72,6 @@ __all__ = [
     "exceptional_orbits",
     "format_diamond",
     "group_order",
-    "h2_cover",
     "hilbert_diamond",
     "hilbert_series",
     "invariant_dims",

@@ -25,6 +25,7 @@ ENUMERATION_GUARD = 8
 WORK_GUARD = 10 ** 6
 
 GROUPS = ("G", "H")
+WHICH = ("Sn", *GROUPS)
 
 
 class TooLarge(ValueError):
@@ -181,8 +182,8 @@ def enumerate_group(n: int, which: str) -> list[GroupElement]:
     at group order <= WORK_GUARD: element counts grow like 2^n * n!.  Use
     :func:`classes` for anything size-related beyond the guards.
     """
-    if which not in ("Sn", *GROUPS):
-        raise ValueError(f"which must be one of {('Sn', *GROUPS)}, got {which!r}")
+    if which not in WHICH:
+        raise ValueError(f"which must be one of {WHICH}, got {which!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > ENUMERATION_GUARD:

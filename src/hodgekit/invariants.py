@@ -35,9 +35,7 @@ from .bigraded import (
     point,
     tensor,
 )
-from .group import SignedCycleType, classes, group_order
-
-WHICH = ("Sn", "G", "H")
+from .group import WHICH, SignedCycleType, classes, group_order
 
 
 def class_trace(ct: SignedCycleType,

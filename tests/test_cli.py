@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hodgekit
-from hodgekit import cli
+from hodgekit import cli, cover
 from hodgekit.cli import main, run_paper_checks
 
 
@@ -222,6 +222,44 @@ class TestVerifyPaper:
         monkeypatch.setattr(cli, "hilbert_series", counted)
         run_paper_checks(6)
         assert built == [6, 6]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Arguments of every call to the quotient engine, the orbit count
+        and the projector oracle, recorded in each namespace that calls them."""
+        log = {name: [] for name in ("invariant_dims", "exceptional_orbits",
+                                     "projector_invariant_dims")}
+
+        def wrap(module, name):
+            inner = getattr(module, name)
+
+            def counted(*args):
+                log[name].append(args)
+                return inner(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module in (cli, cover):
+            wrap(module, "invariant_dims")
+            wrap(module, "exceptional_orbits")
+        wrap(cli, "projector_invariant_dims")
+        return log
+
+    def test_each_quotient_built_once(self, calls):
+        run_paper_checks(6)
+        built = [args[1:] for args in calls["invariant_dims"]]
+        assert len(built) <= 15
+        for n in range(4, 7):
+            assert built.count((n, "H")) == 1
+
+    def test_each_orbit_count_once(self, calls):
+        run_paper_checks(6)
+        assert calls["exceptional_orbits"] == [(n,) for n in range(2, 7)]
+
+    def test_each_projector_table_once(self, calls):
+        run_paper_checks(6)
+        built = [args[1:] for args in calls["projector_invariant_dims"]]
+        assert len(built) == len(set(built)) == 9
 
 
 def run_module(*argv):
