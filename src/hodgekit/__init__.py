@@ -9,7 +9,6 @@ from .bigraded import (
     EquivHodgeTable,
     HodgeTable,
     IntegralityViolation,
-    NegativeIndex,
     OddCohomologyUnsupported,
     direct_sum,
     enriques,
@@ -20,15 +19,9 @@ from .bigraded import (
     parse_surface_spec,
     point,
     preset,
-    shift_by,
     tensor,
 )
-from .cover import (
-    DimensionMismatch,
-    blowup_assemble,
-    cover_diamond_n2,
-    exceptional_orbits,
-)
+from .cover import cover_diamond_n2, exceptional_orbits
 from .group import (
     GroupElement,
     SignedCycleType,
@@ -51,17 +44,14 @@ from .oracle import apply_element, labeled_basis, projector_invariant_dims
 __version__ = "0.1.0"
 
 __all__ = [
-    "DimensionMismatch",
     "EquivHodgeTable",
     "GroupElement",
     "HodgeTable",
     "IntegralityViolation",
-    "NegativeIndex",
     "OddCohomologyUnsupported",
     "SignedCycleType",
     "TooLarge",
     "apply_element",
-    "blowup_assemble",
     "class_sum_dims",
     "class_trace",
     "classes",
@@ -83,7 +73,6 @@ __all__ = [
     "point",
     "preset",
     "projector_invariant_dims",
-    "shift_by",
     "signed_cycle_type",
     "sym_powers",
     "sym_product",

@@ -7,10 +7,11 @@ All dimensions are exact (arbitrary-precision) nonnegative integers, zero
 entries are never stored, and every operation returns a new table: values
 are immutable after construction.
 
-Supported operations: direct sum, Kunneth tensor product, diagonal degree
-shift, Betti numbers and Euler characteristic.  Both table types validate
-their entries the same way: an :class:`EquivHodgeTable` is checked as the
-two :class:`HodgeTable` of its eigenspaces.
+Supported operations: direct sum, Kunneth tensor product (a diagonal shift
+by k is the product with the one-entry table (uv)^k), Betti numbers and
+Euler characteristic.  Both table types validate their entries the same
+way: an :class:`EquivHodgeTable` is checked as the two :class:`HodgeTable`
+of its eigenspaces.
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ class IntegralityViolation(ArithmeticError):
     Every such quotient here is a dimension or a class size, so a remainder
     or a negative quotient signals an implementation bug, not bad input.
     """
-
-
-class NegativeIndex(ValueError):
-    """Raised when a degree shift would move an entry below (0, 0)."""
 
 
 def _validated_entries(entries, dimension):
@@ -127,9 +124,6 @@ class HodgeTable:
         """Topological Euler characteristic, sum of (-1)^k b_k."""
         return sum((-1) ** (p + q) * d for (p, q), d in self._entries.items())
 
-    def has_odd_entries(self) -> bool:
-        return any((p + q) % 2 for p, q in self._entries)
-
     def is_symmetric(self) -> bool:
         """Conjugation symmetry: h^{p,q} = h^{q,p}."""
         return _first_failure(self, ("Hodge symmetry",)) is None
@@ -219,27 +213,14 @@ def tensor(a: HodgeTable, b: HodgeTable) -> HodgeTable:
 
     Both factors must have even-degree support only, so no Koszul signs arise.
     """
-    for t in (a, b):
-        if t.has_odd_entries():
-            raise OddCohomologyUnsupported("tensor requires even-degree entries")
+    _reject_odd(a._entries)
+    _reject_odd(b._entries)
     entries: dict[tuple[int, int], int] = {}
     for (s, t), d in a._entries.items():
         for (u, v), e in b._entries.items():
             key = (s + u, t + v)
             entries[key] = entries.get(key, 0) + d * e
     return HodgeTable(entries, a.dimension + b.dimension)
-
-
-def shift_by(a: HodgeTable, k: int) -> HodgeTable:
-    """Move every entry from (p, q) to (p+k, q+k); k may be negative.
-
-    The declared dimension moves by k as well, keeping the weight bound
-    aligned through assemblies of pieces of different dimensions.
-    """
-    if k < 0 and any(p + k < 0 or q + k < 0 for p, q in a.support()):
-        raise NegativeIndex(f"shift by {k} moves an entry below (0, 0)")
-    entries = {(p + k, q + k): d for (p, q), d in a.items()}
-    return HodgeTable(entries, max(a.dimension + k, 0))
 
 
 # ---------------------------------------------------------------------------

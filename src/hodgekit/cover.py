@@ -5,8 +5,8 @@ scheme of n points is, away from codimension 2, a blow-up of the quotient of
 the n-fold K3 product by the even-twist deck group H.  The blow-up centers
 are the diagonal loci ("two marked points equal") and the twisted diagonals
 ("second point is the involution image of the first"), one pair per slot
-pair.  Blowing up along a codimension-2 center adjoins one copy of the
-center's cohomology shifted by (1, 1).
+pair.  Blowing up along a codimension-2 center Z adds H(Z) * uv, the
+Kunneth product with the class of the exceptional P^1 fibre.
 
 This module assembles the full diamond of X for n = 2 and counts the orbits
 of the exceptional divisor classes under the deck action, which acts through
@@ -17,31 +17,9 @@ quotient's b_2 plus that orbit count; ``verify-paper`` reads it so in check
 
 from __future__ import annotations
 
-from .bigraded import EquivHodgeTable, HodgeTable, direct_sum, k3_enriques, shift_by
+from .bigraded import EquivHodgeTable, HodgeTable, direct_sum, k3_enriques, tensor
 from .group import GroupElement, slot_twist, transposition
 from .invariants import invariant_dims
-
-
-class DimensionMismatch(ValueError):
-    """A blow-up center is not of codimension 2 in the base."""
-
-
-def blowup_assemble(base: HodgeTable, centers: tuple[HodgeTable, ...]) -> HodgeTable:
-    """result(p, q) = base(p, q) + sum over centers of center(p-1, q-1).
-
-    Raises DimensionMismatch, before any sum, for a center that is not of
-    codimension 2 in the base.
-    """
-    for center in centers:
-        if center.dimension != base.dimension - 2:
-            raise DimensionMismatch(
-                f"center of dimension {center.dimension} in a base of "
-                f"dimension {base.dimension}"
-            )
-    out = base
-    for center in centers:
-        out = direct_sum(out, shift_by(center, 1))
-    return out
 
 
 def center_labels(n: int) -> list[tuple[int, int, int]]:
@@ -85,10 +63,13 @@ def cover_diamond_n2(surface: EquivHodgeTable | None = None) -> HodgeTable:
     """Full Hodge diamond of the double cover X for n = 2.
 
     The base is the quotient of the 2-fold product by the even-twist group;
-    both blow-up centers are copies of the involution quotient (for the K3
-    preset: two Enriques surfaces).
+    the two blow-up centers are copies of the involution quotient (for the
+    K3 preset: two Enriques surfaces), each times uv.  Raises ValueError,
+    before any work, for a table that is not a surface.
     """
     table = k3_enriques() if surface is None else surface
-    base = invariant_dims(table, 2, "H")
-    quotient_surface = table.plus_part()
-    return blowup_assemble(base, (quotient_surface, quotient_surface))
+    if table.dimension != 2:
+        raise ValueError(f"the n = 2 cover needs a surface (dimension 2), "
+                         f"got dimension {table.dimension}")
+    return direct_sum(invariant_dims(table, 2, "H"),
+                      tensor(HodgeTable({(1, 1): 2}, 1), table.plus_part()))

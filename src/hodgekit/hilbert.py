@@ -25,8 +25,13 @@ def _log_term(surface: HodgeTable, j: int) -> HodgeTable:
 
 
 def hilbert_series(surface: HodgeTable, n_max: int) -> list[HodgeTable]:
-    """Diamonds of Hilb^0..Hilb^n_max, each of dimension n * dim(S), by
-    Newton's recurrence n * H_n = sum_j Q_j * H_(n-j) on log H(t)."""
+    """Diamonds of Hilb^0..Hilb^n_max, each of dimension 2n, by
+    Newton's recurrence n * H_n = sum_j Q_j * H_(n-j) on log H(t).  Raises
+    ValueError, before any term is built, for a table that is not a surface:
+    the product holds for surfaces only."""
+    if surface.dimension != 2:
+        raise ValueError(f"Hilbert schemes need a surface (dimension 2), "
+                         f"got dimension {surface.dimension}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     return _newton([_log_term(surface, j) for j in range(1, n_max + 1)],

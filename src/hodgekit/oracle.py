@@ -146,8 +146,7 @@ def projector_invariant_dims(table: EquivHodgeTable, n: int, which: str) -> Hodg
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    basis = _keyed_basis(table, n)
-    labels = sum(len(of_kind) for _, of_kind in basis)
+    labels = table.total_dim() ** n
     order = group_order(n, which)
     # above the enumeration guard, enumerate_group refuses first, naming n
     if n <= ENUMERATION_GUARD and labels * order > WORK_GUARD:
@@ -155,6 +154,7 @@ def projector_invariant_dims(table: EquivHodgeTable, n: int, which: str) -> Hodg
             f"{labels} labels x {order} elements of {which} at n = {n} "
             f"exceed the oracle work guard {WORK_GUARD}"
         )
+    basis = _keyed_basis(table, n)
     elements = enumerate_group(n, which)
     counts_by_perm: dict[tuple[int, ...], dict[_Kind, int]] = {}
     sums: dict[_Kind, int] = {}

@@ -9,7 +9,6 @@ from hypothesis import given
 from hodgekit.bigraded import (
     EquivHodgeTable,
     HodgeTable,
-    NegativeIndex,
     OddCohomologyUnsupported,
     direct_sum,
     enriques,
@@ -18,7 +17,6 @@ from hodgekit.bigraded import (
     parse_surface_spec,
     point,
     preset,
-    shift_by,
     tensor,
 )
 
@@ -87,32 +85,12 @@ class TestTensor:
 
     def test_rejects_odd_entries(self):
         odd = HodgeTable({(1, 0): 1}, 1)
-        with pytest.raises(OddCohomologyUnsupported):
+        with pytest.raises(OddCohomologyUnsupported,
+                           match=r"odd total degree at \(1, 0\)"):
             tensor(odd, k3())
 
     def test_dimension_adds(self):
         assert tensor(k3(), enriques()).dimension == 4
-
-
-class TestTwist:
-    def test_zero_is_identity(self):
-        assert shift_by(k3(), 0) == k3()
-
-    def test_single_entry_relabeled(self):
-        start = HodgeTable({(0, 0): 1}, 0)
-        assert shift_by(start, 1).items() == [((1, 1), 1)]
-
-    def test_roundtrip(self):
-        for k in (1, 2):
-            assert shift_by(shift_by(k3(), k), -k) == k3()
-
-    def test_negative_landing_rejected(self):
-        with pytest.raises(NegativeIndex):
-            shift_by(k3(), -1)
-
-    @given(hodge_tables(even_only=False))
-    def test_total_count_preserved(self, t):
-        assert shift_by(t, 3).total_dim() == t.total_dim()
 
 
 class TestBettiEuler:

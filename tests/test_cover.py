@@ -1,12 +1,11 @@
-"""Blow-up assembly, exceptional orbits, and the double-cover dimensions."""
+"""Blow-up centers, exceptional orbits, and the double-cover dimensions."""
 
 import pytest
 
-from hodgekit.bigraded import enriques, k3_enriques, point
+from hodgekit import cover
+from hodgekit.bigraded import EquivHodgeTable, enriques, k3_enriques
 from hodgekit.cover import (
-    DimensionMismatch,
     _class_image,
-    blowup_assemble,
     center_labels,
     cover_diamond_n2,
     exceptional_orbits,
@@ -17,21 +16,6 @@ from hodgekit.invariants import invariant_dims
 
 
 class TestBlowupAssemble:
-    def test_no_centers_is_identity(self):
-        base = invariant_dims(k3_enriques(), 2, "H")
-        assert blowup_assemble(base, ()) == base
-
-    def test_two_enriques_centers_h11(self):
-        base = invariant_dims(k3_enriques(), 2, "H")
-        out = blowup_assemble(base, (enriques(), enriques()))
-        assert out[1, 1] == 10 + 1 + 1
-        assert out[3, 1] == 10 + 0 + 0
-
-    def test_codimension_checked(self):
-        base = invariant_dims(k3_enriques(), 2, "H")
-        with pytest.raises(DimensionMismatch):
-            blowup_assemble(base, (point(),))
-
     def test_center_label_contract(self):
         assert len(center_labels(4)) == 2 * 6
 
@@ -73,6 +57,16 @@ class TestCoverDiamond:
             ((2, 2), 132), ((3, 1), 10), ((3, 3), 12), ((4, 0), 1),
             ((4, 4), 1),
         ]
+
+    @pytest.mark.parametrize("dimension", [0, 1, 3])
+    def test_non_surface_refused_before_any_work(self, dimension, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("quotient built for a non-surface")
+
+        monkeypatch.setattr(cover, "invariant_dims", refuse)
+        table = EquivHodgeTable({(0, 0): (1, 0)}, dimension)
+        with pytest.raises(ValueError, match=f"got dimension {dimension}"):
+            cover_diamond_n2(table)
 
 
 class TestExceptionalOrbits:

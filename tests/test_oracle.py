@@ -83,6 +83,18 @@ class TestBasis:
         with pytest.raises(TooLarge, match=f"1 labels x {order} elements .* {WORK_GUARD}"):
             projector_invariant_dims(EquivHodgeTable({(0, 0): (1, 0)}, 0), 8, "G")
 
+    def test_work_guard_before_basis(self, monkeypatch):
+        # 10^4 labels pass the label guard, but 10^4 x |G| at n = 4 exceeds
+        # the work guard, which must trip before the basis is built
+        def refuse(*args):
+            raise AssertionError("basis built past the work guard")
+
+        monkeypatch.setattr(oracle, "_keyed_basis", refuse)
+        order = group_order(4, "G")
+        with pytest.raises(TooLarge,
+                           match=f"10000 labels x {order} elements .* {WORK_GUARD}"):
+            projector_invariant_dims(EquivHodgeTable({(0, 0): (10, 0)}, 0), 4, "G")
+
 
 class TestApplyElement:
     def test_identity_fixes_everything(self):

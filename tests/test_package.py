@@ -14,7 +14,8 @@ def test_every_exported_name_resolves():
 @pytest.mark.parametrize("name", ["TracePolynomial", "betti", "euler", "tate_twist",
                                   "BlowupPlan", "CenterLabel", "h_one_top",
                                   "h_top_minus", "euler_check", "MismatchReport",
-                                  "h2_cover"])
+                                  "h2_cover", "shift_by", "NegativeIndex",
+                                  "blowup_assemble", "DimensionMismatch"])
 def test_removed_name_not_exported(name):
     assert name not in hodgekit.__all__
     assert not hasattr(hodgekit, name)
