@@ -65,6 +65,22 @@ def _first_failure(table, rules=("Hodge symmetry", "Serre duality")):
     return None
 
 
+def _require_surface(table, prefix="", where="") -> None:
+    """Raise ValueError, naming the first failing entry, unless the table is
+    one a compact complex manifold of its dimension n can have: p, q <= n,
+    Hodge symmetry h^{p,q} = h^{q,p} and Serre duality h^{p,q} = h^{n-p,n-q}.
+    ``prefix`` opens the message; ``where`` follows the name of a failed rule."""
+    n = table.dimension
+    for p, q in table.support():
+        if p > n or q > n:
+            raise ValueError(f"{prefix}entry at ({p}, {q}) exceeds dimension {n}")
+    failure = _first_failure(table)
+    if failure:
+        rule, (p, q), (s, t) = failure
+        raise ValueError(f"{prefix}{rule} fails{where}: "
+                         f"h^({p},{q}) = {table[p, q]} but h^({s},{t}) = {table[s, t]}")
+
+
 def _reject_odd(bidegrees) -> None:
     for p, q in bidegrees:
         if (p + q) % 2:
@@ -208,6 +224,19 @@ def direct_sum(a: HodgeTable, b: HodgeTable) -> HodgeTable:
     return HodgeTable(entries, max(a.dimension, b.dimension))
 
 
+def _sum_of_products(pairs) -> dict[tuple[int, int], int]:
+    """Raw {(p, q): coefficient} of the sum of the Kunneth products a * b
+    over the (a, b) pairs: the package's one multiply-add loop over table
+    entries.  Callers reject odd degrees and build the validated table."""
+    entries: dict[tuple[int, int], int] = {}
+    for a, b in pairs:
+        for (s, t), d in a._entries.items():
+            for (u, v), e in b._entries.items():
+                key = (s + u, t + v)
+                entries[key] = entries.get(key, 0) + d * e
+    return entries
+
+
 def tensor(a: HodgeTable, b: HodgeTable) -> HodgeTable:
     """Kunneth product: result(p,q) = sum over s+u=p, t+v=q of a(s,t)*b(u,v).
 
@@ -215,12 +244,7 @@ def tensor(a: HodgeTable, b: HodgeTable) -> HodgeTable:
     """
     _reject_odd(a._entries)
     _reject_odd(b._entries)
-    entries: dict[tuple[int, int], int] = {}
-    for (s, t), d in a._entries.items():
-        for (u, v), e in b._entries.items():
-            key = (s + u, t + v)
-            entries[key] = entries.get(key, 0) + d * e
-    return HodgeTable(entries, a.dimension + b.dimension)
+    return HodgeTable(_sum_of_products([(a, b)]), a.dimension + b.dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +349,7 @@ def parse_surface_spec(data) -> tuple[str, EquivHodgeTable]:
             raise ValueError(f"surface spec: negative dimension at ({p}, {q})")
     table = EquivHodgeTable(entries, dimension)
     for sign, part in (("+", table.plus_part()), ("-", table.minus_part())):
-        failure = _first_failure(part)
-        if failure:
-            rule, (p, q), (s, t) = failure
-            raise ValueError(
-                f"surface spec: {rule} fails in the {sign} eigenspace: "
-                f"h^({p},{q}) = {part[p, q]} but h^({s},{t}) = {part[s, t]}")
+        _require_surface(part, "surface spec: ", f" in the {sign} eigenspace")
     return name, table
 
 

@@ -17,7 +17,14 @@ quotient's b_2 plus that orbit count; ``verify-paper`` reads it so in check
 
 from __future__ import annotations
 
-from .bigraded import EquivHodgeTable, HodgeTable, direct_sum, k3_enriques, tensor
+from .bigraded import (
+    EquivHodgeTable,
+    HodgeTable,
+    _require_surface,
+    direct_sum,
+    k3_enriques,
+    tensor,
+)
 from .group import GroupElement, slot_twist, transposition
 from .invariants import invariant_dims
 
@@ -65,11 +72,15 @@ def cover_diamond_n2(surface: EquivHodgeTable | None = None) -> HodgeTable:
     The base is the quotient of the 2-fold product by the even-twist group;
     the two blow-up centers are copies of the involution quotient (for the
     K3 preset: two Enriques surfaces), each times uv.  Raises ValueError,
-    before any work, for a table that is not a surface.
+    before any work, for a table that is not a surface: dimension 2, and
+    each eigenspace within it with Hodge symmetry and Serre duality.
     """
     table = k3_enriques() if surface is None else surface
     if table.dimension != 2:
         raise ValueError(f"the n = 2 cover needs a surface (dimension 2), "
                          f"got dimension {table.dimension}")
+    for sign, part in (("+", table.plus_part()), ("-", table.minus_part())):
+        _require_surface(part, "the n = 2 cover needs a surface: ",
+                         f" in the {sign} eigenspace")
     return direct_sum(invariant_dims(table, 2, "H"),
                       tensor(HodgeTable({(1, 1): 2}, 1), table.plus_part()))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 
-from .bigraded import HodgeTable, direct_sum, tensor
+from .bigraded import HodgeTable, _require_surface, direct_sum, tensor
 from .invariants import _adams, _newton
 
 
@@ -27,11 +27,13 @@ def _log_term(surface: HodgeTable, j: int) -> HodgeTable:
 def hilbert_series(surface: HodgeTable, n_max: int) -> list[HodgeTable]:
     """Diamonds of Hilb^0..Hilb^n_max, each of dimension 2n, by
     Newton's recurrence n * H_n = sum_j Q_j * H_(n-j) on log H(t).  Raises
-    ValueError, before any term is built, for a table that is not a surface:
-    the product holds for surfaces only."""
+    ValueError, before any term is built, for a table that is not a surface
+    (dimension 2, entries within it, Hodge symmetry and Serre duality): the
+    product holds for surfaces only."""
     if surface.dimension != 2:
         raise ValueError(f"Hilbert schemes need a surface (dimension 2), "
                          f"got dimension {surface.dimension}")
+    _require_surface(surface, "Hilbert schemes need a surface: ")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     return _newton([_log_term(surface, j) for j in range(1, n_max + 1)],

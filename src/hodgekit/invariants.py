@@ -25,15 +25,14 @@ the negative coefficients a single trace can have.
 
 from __future__ import annotations
 
-from functools import reduce
-
 from .bigraded import (
     EquivHodgeTable,
     HodgeTable,
     IntegralityViolation,
+    _reject_odd,
+    _sum_of_products,
     direct_sum,
     point,
-    tensor,
 )
 from .group import WHICH, SignedCycleType, classes, group_order
 
@@ -67,13 +66,15 @@ def _adams(table: HodgeTable, k: int) -> HodgeTable:
 
 def _newton(terms: list[HodgeTable], dimension: int) -> list[HodgeTable]:
     """X_0..X_len(terms) from m * X_m = sum_{j=1..m} terms[j-1] * X_(m-j), with
-    X_0 the point and X_m of dimension m * dimension.  Each division by m must
-    be exact; a remainder raises IntegralityViolation."""
+    X_0 the point and X_m of dimension m * dimension.  Odd degrees are
+    rejected once, before any product: every X_m's support is a sum of term
+    supports.  Each step is one multiply-add pass and one validated table;
+    each division by m must be exact, a remainder raises IntegralityViolation."""
+    _reject_odd(pq for term in terms for pq in term._entries)
     xs = [point()]
     for m in range(1, len(terms) + 1):
-        total = reduce(direct_sum, map(tensor, terms, reversed(xs)))
         entries = {}
-        for pq, value in total.items():
+        for pq, value in _sum_of_products(zip(terms, reversed(xs))).items():
             entries[pq], rem = divmod(value, m)
             if rem:
                 raise IntegralityViolation(

@@ -25,6 +25,16 @@ def hodge_tables(draw, even_only=True, max_degree=4, max_dim=5, max_entries=4):
 
 
 @st.composite
+def surfaces(draw, max_dim=5):
+    """Random tables a surface can have: even degrees with h^{0,0} = h^{2,2}
+    and h^{2,0} = h^{0,2}, all that Hodge symmetry and Serre duality leave
+    free in dimension 2 besides h^{1,1}."""
+    ends, h11, h20 = (draw(st.integers(0, max_dim)) for _ in range(3))
+    return HodgeTable({(0, 0): ends, (1, 1): h11, (2, 2): ends,
+                       (2, 0): h20, (0, 2): h20}, 2)
+
+
+@st.composite
 def equiv_tables(draw, max_degree=3, max_dim=3, max_entries=3):
     """Small random involution-split tables, even degrees only."""
     degrees = st.tuples(st.integers(0, max_degree), st.integers(0, max_degree))

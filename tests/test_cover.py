@@ -1,5 +1,7 @@
 """Blow-up centers, exceptional orbits, and the double-cover dimensions."""
 
+import re
+
 import pytest
 
 from hodgekit import cover
@@ -67,6 +69,23 @@ class TestCoverDiamond:
         table = EquivHodgeTable({(0, 0): (1, 0)}, dimension)
         with pytest.raises(ValueError, match=f"got dimension {dimension}"):
             cover_diamond_n2(table)
+
+    @pytest.mark.parametrize("entries, named", [
+        ({(0, 0): (1, 0), (2, 2): (1, 0), (3, 3): (0, 1)},
+         "entry at (3, 3) exceeds dimension 2"),
+        ({(0, 0): (1, 1), (2, 2): (1, 0)},
+         "Serre duality fails in the - eigenspace: h^(0,0) = 1 but h^(2,2) = 0"),
+        ({(0, 0): (1, 0), (2, 0): (1, 0), (2, 2): (1, 0)},
+         "Hodge symmetry fails in the + eigenspace: h^(2,0) = 1 but h^(0,2) = 0"),
+    ])
+    def test_non_geometric_eigenspace_refused_before_any_work(self, entries, named,
+                                                              monkeypatch):
+        def refuse(*args):
+            raise AssertionError("quotient built for a non-geometric table")
+
+        monkeypatch.setattr(cover, "invariant_dims", refuse)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            cover_diamond_n2(EquivHodgeTable(entries, 2))
 
 
 class TestExceptionalOrbits:

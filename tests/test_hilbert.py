@@ -1,6 +1,7 @@
 """Hilbert diamonds from Newton's recurrence on the log of Goettsche's
 product, the partition-sum reference and the Euler cross-check."""
 
+import re
 from functools import reduce
 
 import pytest
@@ -18,7 +19,7 @@ from hodgekit.bigraded import (
 from hodgekit.hilbert import euler_product_coefficients, hilbert_diamond, hilbert_series
 from hodgekit.invariants import sym_product
 
-from conftest import hodge_tables
+from conftest import surfaces
 
 
 def partitions_of(n):
@@ -88,7 +89,7 @@ class TestPartitionSumReference:
                 assert hilbert_diamond(surface, n) == partition_sum_diamond(surface, n)
 
     # Goettsche's product holds for surfaces, the formula's only domain
-    @given(hodge_tables().filter(lambda t: t.dimension == 2))
+    @given(surfaces())
     @settings(max_examples=25, deadline=None)
     def test_random_tables_up_to_eight(self, surface):
         for n in range(1, 9):
@@ -170,6 +171,27 @@ class TestHilbertSeries:
         with pytest.raises(ValueError, match=f"got dimension {dimension}"):
             hilbert_series(table, 2)
         with pytest.raises(ValueError, match=f"got dimension {dimension}"):
+            hilbert_diamond(table, 2)
+
+    @pytest.mark.parametrize("entries, named", [
+        ({(0, 0): 1, (4, 4): 1}, "entry at (4, 4) exceeds dimension 2"),
+        ({(0, 0): 1, (2, 0): 1, (2, 2): 1}, "Hodge symmetry fails: h^(2,0) = 1 but h^(0,2) = 0"),
+        ({(0, 0): 1, (1, 1): 2}, "Serre duality fails: h^(0,0) = 1 but h^(2,2) = 0"),
+    ])
+    def test_non_geometric_surface_refused_before_any_term(self, entries, named,
+                                                            monkeypatch):
+        # HodgeTable stores entries up to (2 * dimension, 2 * dimension), so
+        # these are valid tables of dimension 2 that no surface has
+        from hodgekit import hilbert as mod
+
+        def refuse(*args):
+            raise AssertionError("log term built for a non-geometric table")
+
+        monkeypatch.setattr(mod, "_log_term", refuse)
+        table = HodgeTable(entries, 2)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            hilbert_series(table, 2)
+        with pytest.raises(ValueError, match=re.escape(named)):
             hilbert_diamond(table, 2)
 
 

@@ -2,16 +2,31 @@
 route and its traces, symmetric products."""
 
 import math
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgekit.bigraded import EquivHodgeTable, HodgeTable, enriques, k3, k3_enriques
+from hodgekit import bigraded
+from hodgekit import invariants as mod
+from hodgekit.bigraded import (
+    EquivHodgeTable,
+    HodgeTable,
+    OddCohomologyUnsupported,
+    direct_sum,
+    enriques,
+    k3,
+    k3_enriques,
+    point,
+    tensor,
+)
 from hodgekit.group import SignedCycleType
+from hodgekit.hilbert import _log_term, hilbert_series
 from hodgekit.invariants import (
     WHICH,
     IntegralityViolation,
+    _adams,
     class_sum_dims,
     class_trace,
     invariant_dims,
@@ -20,7 +35,26 @@ from hodgekit.invariants import (
 )
 from hodgekit.oracle import projector_invariant_dims
 
-from conftest import equiv_tables
+from conftest import equiv_tables, seeded_equiv_tables
+
+
+def reference_newton(terms, dimension):
+    """Newton's recurrence as first written: every product a validated
+    tensor table, folded by direct sums.  A literal witness for the kernel."""
+    xs = [point()]
+    for m in range(1, len(terms) + 1):
+        total = reduce(direct_sum, map(tensor, terms, reversed(xs)))
+        entries = {}
+        for pq, value in total.items():
+            entries[pq], rem = divmod(value, m)
+            assert rem == 0, (pq, value, m)
+        xs.append(HodgeTable(entries, m * dimension))
+    return xs
+
+
+def assert_same_series(got, want):
+    assert got == want
+    assert [x.dimension for x in got] == [x.dimension for x in want]
 
 
 class TestClassTrace:
@@ -117,7 +151,6 @@ class TestInvariantDims:
 
     def test_integrality_guard_trips_on_corrupted_census(self, monkeypatch):
         # unreachable with honest input: force it by doctoring a class size
-        from hodgekit import invariants as mod
         from hodgekit.group import classes
 
         doctored = [(ct, size + (1 if i == 0 else 0))
@@ -128,8 +161,6 @@ class TestInvariantDims:
 
     def test_integrality_guard_trips_on_corrupted_newton_term(self, monkeypatch):
         # psi^2 gains one class at (0, 0): 2 * Sym^2 there becomes 1 + 2
-        from hodgekit import invariants as mod
-
         honest = mod._adams
 
         def corrupted(table, k):
@@ -139,6 +170,72 @@ class TestInvariantDims:
         monkeypatch.setattr(mod, "_adams", corrupted)
         with pytest.raises(IntegralityViolation):
             invariant_dims(k3_enriques(), 2, "H")
+
+
+class TestNewtonKernel:
+    @pytest.mark.parametrize("surface", [
+        k3(), enriques(), k3_enriques().plus_part(), k3_enriques().minus_part()],
+        ids=["k3", "enriques", "k3_enriques+", "k3_enriques-"])
+    def test_sym_powers_equal_reference(self, surface):
+        terms = [_adams(surface, k) for k in range(1, 13)]
+        assert_same_series(sym_powers(surface, 12),
+                           reference_newton(terms, surface.dimension))
+
+    def test_seeded_eigenparts_equal_reference(self):
+        for table in seeded_equiv_tables(20):
+            for part in (table.plus_part(), table.minus_part()):
+                terms = [_adams(part, k) for k in range(1, 7)]
+                assert_same_series(sym_powers(part, 6),
+                                   reference_newton(terms, part.dimension))
+
+    @pytest.mark.parametrize("surface", [k3(), enriques()], ids=["k3", "enriques"])
+    def test_hilbert_series_equal_reference(self, surface):
+        terms = [_log_term(surface, j) for j in range(1, 13)]
+        assert_same_series(hilbert_series(surface, 12), reference_newton(terms, 2))
+
+    def test_one_pass_and_one_table_per_coefficient(self, monkeypatch):
+        # a work count, not a timing: the point X_0, then per step one
+        # multiply-add pass over all its pairs and one validated table
+        terms = [_adams(k3(), k) for k in range(1, 13)]
+        expected = reference_newton(terms, 2)
+        built, pairs_per_pass, validated = [], [], []
+
+        class Counted(HodgeTable):
+            __slots__ = ()
+
+            def __init__(self, entries, dimension):
+                built.append(dimension)
+                super().__init__(entries, dimension)
+
+        honest_sum = mod._sum_of_products
+
+        def counted_sum(pairs):
+            pairs = list(pairs)
+            pairs_per_pass.append(len(pairs))
+            return honest_sum(pairs)
+
+        honest_validate = bigraded._validated_entries
+
+        def counted_validate(entries, dimension):
+            validated.append(dimension)
+            return honest_validate(entries, dimension)
+
+        monkeypatch.setattr(mod, "HodgeTable", Counted)
+        monkeypatch.setattr(mod, "_sum_of_products", counted_sum)
+        monkeypatch.setattr(bigraded, "_validated_entries", counted_validate)
+        xs = mod._newton(terms, 2)
+        assert built == [2 * m for m in range(1, 13)]
+        assert pairs_per_pass == list(range(1, 13))
+        assert validated == [2 * m for m in range(13)]
+        assert_same_series(xs, expected)
+
+    def test_odd_degrees_refused_before_any_product(self, monkeypatch):
+        def refuse(pairs):
+            raise AssertionError("product formed before the odd-degree check")
+
+        monkeypatch.setattr(mod, "_sum_of_products", refuse)
+        with pytest.raises(OddCohomologyUnsupported, match=r"at \(1, 0\)"):
+            sym_powers(HodgeTable({(1, 0): 2}, 1), 40)
 
 
 class TestSymProduct:
@@ -152,8 +249,6 @@ class TestSymProduct:
         assert [s.dimension for s in powers] == [0, 2, 4, 6, 8, 10, 12]
 
     def test_odd_entries_propagate_rejection(self):
-        from hodgekit.bigraded import OddCohomologyUnsupported
-
         odd = HodgeTable({(1, 0): 2}, 1)
         with pytest.raises(OddCohomologyUnsupported):
             sym_product(odd, 2)
