@@ -39,7 +39,7 @@ from .invariants import (
     sym_powers,
     sym_product,
 )
-from .oracle import apply_element, labeled_basis, projector_invariant_dims
+from .oracle import projector_tables
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,6 @@ __all__ = [
     "OddCohomologyUnsupported",
     "SignedCycleType",
     "TooLarge",
-    "apply_element",
     "class_sum_dims",
     "class_trace",
     "classes",
@@ -67,12 +66,11 @@ __all__ = [
     "invariant_dims",
     "k3",
     "k3_enriques",
-    "labeled_basis",
     "load_surface_spec",
     "parse_surface_spec",
     "point",
     "preset",
-    "projector_invariant_dims",
+    "projector_tables",
     "signed_cycle_type",
     "sym_powers",
     "sym_product",

@@ -39,7 +39,7 @@ from .group import (
 )
 from .hilbert import euler_product_coefficients, hilbert_diamond, hilbert_series
 from .invariants import class_sum_dims, class_trace, invariant_dims, sym_product
-from .oracle import projector_invariant_dims
+from .oracle import projector_tables
 
 PASS = "pass"
 FAIL = "fail"
@@ -145,8 +145,8 @@ def run_paper_checks(n_max: int = 6) -> list[CheckResult]:
     # exceptional orbit counts and the projector tables, each built once.
     quotient = {n: invariant_dims(table, n, "H") for n in range(2, n_max + 1)}
     orbits = {n: exceptional_orbits(n) for n in range(2, n_max + 1)}
-    oracle = {(n, which): projector_invariant_dims(table, n, which)
-              for n in (1, 2, 3) for which in WHICH}
+    oracle = {(n, which): dims for n in (1, 2, 3)
+              for which, dims in projector_tables(table, n).items()}
 
     # Intermediate quotient of the squared K3 by the even-twist group.
     for check_id, pq, expected in (

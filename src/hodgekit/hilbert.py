@@ -10,18 +10,17 @@ The Euler product prod_m (1 - q^m)^(-e) audits its Euler numbers independently.
 from __future__ import annotations
 
 import math
-from functools import reduce
 
-from .bigraded import HodgeTable, _require_surface, direct_sum, tensor
+from .bigraded import HodgeTable, _require_surface, _sum_of_products
 from .invariants import _adams, _newton
 
 
 def _log_term(surface: HodgeTable, j: int) -> HodgeTable:
     """Q_j = sum_{r | j} (j/r) (uv)^(j-r) psi^r(S): the t^j coefficient of
-    t d/dt log H(t)."""
-    return reduce(direct_sum, (tensor(HodgeTable({(j - r, j - r): j // r}, j - r),
-                                      _adams(surface, r))
-                               for r in range(1, j + 1) if j % r == 0))
+    t d/dt log H(t), as one multiply-add pass and one table."""
+    return HodgeTable(_sum_of_products((HodgeTable({(j - r, j - r): j // r}, j - r),
+                                        _adams(surface, r))
+                                       for r in range(1, j + 1) if j % r == 0), 2 * j)
 
 
 def hilbert_series(surface: HodgeTable, n_max: int) -> list[HodgeTable]:

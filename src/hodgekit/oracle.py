@@ -5,19 +5,23 @@ elements as signed permutations of basis labels, and reads invariant
 dimensions off the averaging projector: per bidegree, the average over the
 group of the signed count of fixed labels.  A label's kind, the (p, q,
 eigen) of each of its slots, fixes its bidegree and its sign under every
-twist.  Each permutation's scan tests every label of the explicit basis and
-counts the fixed ones per kind; every element of the group still adds its
-own signed count per kind.  Deliberately shares no code with the
-symmetric-power production route or the class-sum audit route.
+twist.  G is enumerated once per n.  Each permutation's scan tests every
+label of the explicit basis and counts the fixed ones per kind; every element
+then signs its own counts into each group containing it (G always, H when it
+twists an even number of slots, Sn when it twists none).  Deliberately shares
+no code with the symmetric-power production route or the class-sum audit
+route.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .bigraded import EquivHodgeTable, HodgeTable, IntegralityViolation
 from .group import (
     ENUMERATION_GUARD,
+    WHICH,
     WORK_GUARD,
     GroupElement,
     TooLarge,
@@ -60,37 +64,6 @@ def _keyed_basis(table: EquivHodgeTable, n: int) -> list[tuple[_Kind, list[Label
             for kind in itertools.product(by_kind, repeat=n)]
 
 
-def labeled_basis(table: EquivHodgeTable, n: int) -> list[Label]:
-    """All basis labels of the n-th tensor power, guarded in size."""
-    return [label for _, labels in _keyed_basis(table, n) for label in labels]
-
-
-def apply_element(g: GroupElement, label: Label) -> tuple[Label, int]:
-    """Image of a basis label under a signed permutation, with its sign.
-
-    Twisted slots contribute the eigen-sign of their current label, then the
-    slots are permuted.  Even degrees only, so permuting factors itself
-    carries no sign.
-    """
-    moved: list[SlotLabel] = [label[0]] * g.n
-    for m, target in enumerate(g.perm):
-        moved[target] = label[m]
-    return tuple(moved), _sign(_twisted_slots(g), label)
-
-
-def _twisted_slots(g: GroupElement) -> list[int]:
-    return [m for m, t in enumerate(g.twist) if t]
-
-
-def _sign(twisted: list[int], label: Label | _Kind) -> int:
-    """Product of the eigen-signs of a label, or a kind, in the twisted
-    slots."""
-    sign = 1
-    for m in twisted:
-        sign *= label[m][2]
-    return sign
-
-
 def _fixed_counts(perm: tuple[int, ...],
                   basis: list[tuple[_Kind, list[Label]]]) -> dict[_Kind, int]:
     """How many labels of each kind a permutation fixes.
@@ -116,10 +89,12 @@ def _fixed_counts(perm: tuple[int, ...],
 
 def _add_signed_counts(g: GroupElement, counts: dict[_Kind, int],
                        sums: dict[_Kind, int]) -> None:
-    """Add g's signed count of its fixed labels, per kind, into sums."""
-    twisted = _twisted_slots(g)
+    """Add g's signed count of its fixed labels, per kind, into sums.  A
+    kind's sign is the product of its eigen-signs in g's twisted slots."""
+    twisted = [m for m, t in enumerate(g.twist) if t]
     for kind, count in counts.items():
-        sums[kind] = sums.get(kind, 0) + count * _sign(twisted, kind)
+        sign = math.prod(kind[m][2] for m in twisted)
+        sums[kind] = sums.get(kind, 0) + count * sign
 
 
 def _by_degree(sums: dict[_Kind, int]) -> dict[tuple[int, int], int]:
@@ -131,44 +106,59 @@ def _by_degree(sums: dict[_Kind, int]) -> dict[tuple[int, int], int]:
     return out
 
 
-def element_trace(g: GroupElement, table: EquivHodgeTable) -> dict[tuple[int, int], int]:
-    """Signed count of fixed labels per bidegree: the graded matrix trace."""
-    sums: dict[_Kind, int] = {}
-    _add_signed_counts(g, _fixed_counts(g.perm, _keyed_basis(table, g.n)), sums)
-    return {k: v for k, v in _by_degree(sums).items() if v}
+def _groups_containing(g: GroupElement) -> list[str]:
+    """The groups of WHICH that g belongs to: G always, H when g twists an
+    even number of slots, Sn when it twists none."""
+    twists = sum(g.twist)
+    return [which for which, member in (("Sn", twists == 0), ("G", True),
+                                        ("H", twists % 2 == 0)) if member]
 
 
-def projector_invariant_dims(table: EquivHodgeTable, n: int, which: str) -> HodgeTable:
-    """Invariant dimensions via the explicit averaging projector.
+def projector_tables(table: EquivHodgeTable, n: int) -> dict[str, HodgeTable]:
+    """Invariant dimensions under Sn, G and H via the explicit averaging
+    projector, keyed by WHICH.
 
-    For every bidegree, dim = (1/|group|) * sum over elements of the signed
-    number of fixed labels.  Exact division is required.
+    For every bidegree, dim = (1/|group|) * sum over the group's elements of
+    the signed number of fixed labels.  G is enumerated once; each element
+    signs its counts into every group containing it.  Each group must be
+    credited exactly its order in elements, and each division must be exact.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     labels = table.total_dim() ** n
-    order = group_order(n, which)
+    order = group_order(n, "G")
     # above the enumeration guard, enumerate_group refuses first, naming n
     if n <= ENUMERATION_GUARD and labels * order > WORK_GUARD:
         raise TooLarge(
-            f"{labels} labels x {order} elements of {which} at n = {n} "
+            f"{labels} labels x {order} elements of G at n = {n} "
             f"exceed the oracle work guard {WORK_GUARD}"
         )
     basis = _keyed_basis(table, n)
-    elements = enumerate_group(n, which)
     counts_by_perm: dict[tuple[int, ...], dict[_Kind, int]] = {}
-    sums: dict[_Kind, int] = {}
-    for g in elements:
+    sums: dict[str, dict[_Kind, int]] = {which: {} for which in WHICH}
+    credited = dict.fromkeys(WHICH, 0)
+    for g in enumerate_group(n, "G"):
         if g.perm not in counts_by_perm:
             counts_by_perm[g.perm] = _fixed_counts(g.perm, basis)
-        _add_signed_counts(g, counts_by_perm[g.perm], sums)
-    entries = {}
-    for pq, value in _by_degree(sums).items():
-        dim, rem = divmod(value, len(elements))
-        if rem != 0 or dim < 0:
+        for which in _groups_containing(g):
+            _add_signed_counts(g, counts_by_perm[g.perm], sums[which])
+            credited[which] += 1
+    for which, count in credited.items():
+        if count != group_order(n, which):
             raise IntegralityViolation(
-                f"projector sum {value} at {pq} does not divide by {len(elements)}"
+                f"{count} elements credited to {which} at n = {n}, "
+                f"not its order {group_order(n, which)}"
             )
-        if dim:
-            entries[pq] = dim
-    return HodgeTable(entries, n * table.dimension)
+    tables = {}
+    for which, count in credited.items():
+        entries = {}
+        for pq, value in _by_degree(sums[which]).items():
+            dim, rem = divmod(value, count)
+            if rem != 0 or dim < 0:
+                raise IntegralityViolation(
+                    f"projector sum {value} at {pq} does not divide by {count}"
+                )
+            if dim:
+                entries[pq] = dim
+        tables[which] = HodgeTable(entries, n * table.dimension)
+    return tables

@@ -9,7 +9,7 @@ from hodgekit.cover import cover_diamond_n2, exceptional_orbits
 from hodgekit.group import classes, enumerate_group, group_order, signed_cycle_type
 from hodgekit.hilbert import euler_product_coefficients, hilbert_diamond, hilbert_series
 from hodgekit.invariants import invariant_dims, sym_product
-from hodgekit.oracle import projector_invariant_dims
+from hodgekit.oracle import projector_tables
 
 from conftest import seeded_equiv_tables
 
@@ -87,7 +87,7 @@ def test_criterion_06_cover_diamond_n2():
                  (3, 0): 0, (2, 1): 0, (4, 0): 1, (3, 1): 10}
     failures = [(pq, x[pq], want) for pq, want in published.items()
                 if x[pq] != want]
-    oracle = projector_invariant_dims(k3_enriques(), 2, "H")
+    oracle = projector_tables(k3_enriques(), 2)["H"]
     expected_h22 = oracle[2, 2] + 2 * enriques()[1, 1]
     if x[2, 2] != expected_h22:
         failures.append(("h22-vs-oracle", x[2, 2], expected_h22))
@@ -103,7 +103,7 @@ def test_criterion_07_quotient_of_the_square():
     failures = [(pq, q[pq], want)
                 for pq, want in (((1, 1), 10), ((3, 1), 10), ((4, 0), 1))
                 if q[pq] != want]
-    oracle = projector_invariant_dims(k3_enriques(), 2, "H")
+    oracle = projector_tables(k3_enriques(), 2)["H"]
     if q[2, 2] != oracle[2, 2] or q[2, 2] != 112:
         failures.append(("h22", q[2, 2], oracle[2, 2]))
     _report("07", "even-twist quotient of the squared K3: h^(1,1)=10, "
@@ -113,18 +113,14 @@ def test_criterion_07_quotient_of_the_square():
 
 def test_criterion_08_oracle_equivalence():
     failures = []
-    table = k3_enriques()
-    for n in (1, 2, 3):
+    cases = [("preset", n, k3_enriques(), n) for n in (1, 2, 3)]
+    cases += [("random", idx, random_table, 2)
+              for idx, random_table in enumerate(seeded_equiv_tables(20))]
+    for route, key, table, n in cases:
+        oracle = projector_tables(table, n)
         for which in ("Sn", "G", "H"):
-            if invariant_dims(table, n, which) != projector_invariant_dims(
-                    table, n, which):
-                failures.append(("preset", n, which))
-    randoms = seeded_equiv_tables(20)
-    for idx, random_table in enumerate(randoms):
-        for which in ("Sn", "G", "H"):
-            if invariant_dims(random_table, 2, which) != projector_invariant_dims(
-                    random_table, 2, which):
-                failures.append(("random", idx, which))
+            if invariant_dims(table, n, which) != oracle[which]:
+                failures.append((route, key, which))
     _report("08", "symmetric-power engine equals the projector oracle on the K3 "
             "preset (n=1..3, all groups) and on 20 seeded random tables "
             "(n=2)", failures)

@@ -33,7 +33,7 @@ from hodgekit.invariants import (
     sym_powers,
     sym_product,
 )
-from hodgekit.oracle import projector_invariant_dims
+from hodgekit.oracle import projector_tables
 
 from conftest import equiv_tables, seeded_equiv_tables
 
@@ -108,7 +108,7 @@ class TestInvariantDims:
         for which in ("G", "H"):
             assert (invariant_dims(small, 4, which)
                     == class_sum_dims(small, 4, which)
-                    == projector_invariant_dims(small, 4, which))
+                    == projector_tables(small, 4)[which])
 
     # at most 18 labels per slot: 18^3 stays under the oracle's label guard
     @given(equiv_tables(), st.sampled_from(WHICH))
@@ -117,7 +117,7 @@ class TestInvariantDims:
         for n in range(1, 4):
             assert (invariant_dims(table, n, which)
                     == class_sum_dims(table, n, which)
-                    == projector_invariant_dims(table, n, which))
+                    == projector_tables(table, n)[which])
         for n in range(4, 7):
             assert invariant_dims(table, n, which) == class_sum_dims(table, n, which)
 

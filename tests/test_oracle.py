@@ -1,14 +1,16 @@
 """Projector oracle: signed permutations on explicit tensor bases."""
 
 import ast
+import itertools
 from pathlib import Path
 
 import pytest
 
 from hodgekit import oracle
-from hodgekit.bigraded import EquivHodgeTable, k3_enriques
+from hodgekit.bigraded import EquivHodgeTable, IntegralityViolation, k3_enriques
 from hodgekit.group import (
     ENUMERATION_GUARD,
+    WHICH,
     WORK_GUARD,
     TooLarge,
     enumerate_group,
@@ -19,15 +21,48 @@ from hodgekit.group import (
     transposition,
 )
 from hodgekit.invariants import class_trace, invariant_dims
-from hodgekit.oracle import (
-    apply_element,
-    element_trace,
-    labeled_basis,
-    projector_invariant_dims,
-    slot_basis,
-)
+from hodgekit.oracle import projector_tables, slot_basis
 
 from conftest import seeded_equiv_tables
+
+
+# The literal witness: every label of the explicit basis moved one by one,
+# sharing no helper with the oracle's per-kind pass.
+
+def labeled_basis(table, n):
+    """All basis labels of the n-th tensor power."""
+    return list(itertools.product(slot_basis(table), repeat=n))
+
+
+def apply_element(g, label):
+    """Image of a basis label under a signed permutation, with its sign.
+
+    Twisted slots contribute the eigen-sign of their current label, then the
+    slots are permuted.  Even degrees only, so permuting factors itself
+    carries no sign.
+    """
+    moved = [label[0]] * g.n
+    for m, target in enumerate(g.perm):
+        moved[target] = label[m]
+    sign = 1
+    for m, t in enumerate(g.twist):
+        if t:
+            sign *= label[m][2]
+    return tuple(moved), sign
+
+
+def degree(label):
+    return sum(s[0] for s in label), sum(s[1] for s in label)
+
+
+def element_trace(g, table):
+    """Signed count of fixed labels per bidegree: the graded matrix trace."""
+    sums = {}
+    for lab in labeled_basis(table, g.n):
+        moved, sign = apply_element(g, lab)
+        if moved == lab:
+            sums[degree(lab)] = sums.get(degree(lab), 0) + sign
+    return {k: v for k, v in sums.items() if v}
 
 
 class TestBasis:
@@ -41,8 +76,11 @@ class TestBasis:
         assert len(set(labels)) == len(labels)
 
     def test_guard(self):
-        with pytest.raises(TooLarge):
-            labeled_basis(k3_enriques(), 4)
+        # 30000 labels x |G| = 2 at n = 1 pass the work guard; the label
+        # guard must trip
+        with pytest.raises(TooLarge,
+                           match=r"30000\^1 labels exceed the oracle guard 20000"):
+            projector_tables(EquivHodgeTable({(0, 0): (30000, 0)}, 0), 1)
 
     def test_keyed_basis(self):
         cases = [(k3_enriques(), n) for n in (1, 2)]
@@ -50,7 +88,8 @@ class TestBasis:
         for table, n in cases:
             keyed = oracle._keyed_basis(table, n)
             labels = labeled_basis(table, n)
-            assert labels == [label for _, of_kind in keyed for label in of_kind]
+            assert sorted(labels) == sorted(label for _, of_kind in keyed
+                                            for label in of_kind)
             assert len(set(labels)) == len(labels) == table.total_dim() ** n
             for kind, of_kind in keyed:
                 for label in of_kind:
@@ -63,14 +102,12 @@ class TestBasis:
     def test_sn_enumeration_guard(self, n, monkeypatch):
         # one label per slot passes the label guard; the element guard must
         # trip before a single permutation is generated
-        import itertools
-
         def refuse(*args):
             raise AssertionError("permutations enumerated past the guard")
 
         monkeypatch.setattr(itertools, "permutations", refuse)
         with pytest.raises(TooLarge, match=f"n <= {ENUMERATION_GUARD}"):
-            projector_invariant_dims(EquivHodgeTable({(0, 0): (1, 0)}, 0), n, "Sn")
+            projector_tables(EquivHodgeTable({(0, 0): (1, 0)}, 0), n)
 
     def test_work_guard(self, monkeypatch):
         # one label passes the label guard, but 1 x |G| at n = 8 exceeds the
@@ -80,8 +117,9 @@ class TestBasis:
 
         monkeypatch.setattr(oracle, "enumerate_group", refuse)
         order = group_order(8, "G")
-        with pytest.raises(TooLarge, match=f"1 labels x {order} elements .* {WORK_GUARD}"):
-            projector_invariant_dims(EquivHodgeTable({(0, 0): (1, 0)}, 0), 8, "G")
+        with pytest.raises(TooLarge,
+                           match=f"1 labels x {order} elements of G .* {WORK_GUARD}"):
+            projector_tables(EquivHodgeTable({(0, 0): (1, 0)}, 0), 8)
 
     def test_work_guard_before_basis(self, monkeypatch):
         # 10^4 labels pass the label guard, but 10^4 x |G| at n = 4 exceeds
@@ -92,8 +130,8 @@ class TestBasis:
         monkeypatch.setattr(oracle, "_keyed_basis", refuse)
         order = group_order(4, "G")
         with pytest.raises(TooLarge,
-                           match=f"10000 labels x {order} elements .* {WORK_GUARD}"):
-            projector_invariant_dims(EquivHodgeTable({(0, 0): (10, 0)}, 0), 4, "G")
+                           match=f"10000 labels x {order} elements of G .* {WORK_GUARD}"):
+            projector_tables(EquivHodgeTable({(0, 0): (10, 0)}, 0), 4)
 
 
 class TestApplyElement:
@@ -146,48 +184,39 @@ class TestElementTraces:
 
     def test_every_element_matches_at_n3(self):
         table = k3_enriques()
-        labels = labeled_basis(table, 3)
-        degrees = [(sum(s[0] for s in lab), sum(s[1] for s in lab))
-                   for lab in labels]
         for g in enumerate_group(3, "G"):
-            sums = {}
-            for lab, deg in zip(labels, degrees):
-                moved, sign = apply_element(g, lab)
-                if moved == lab:
-                    sums[deg] = sums.get(deg, 0) + sign
-            expected = class_trace(signed_cycle_type(g), table)
-            assert {k: v for k, v in sums.items() if v} == expected
+            assert element_trace(g, table) == class_trace(signed_cycle_type(g), table)
 
 
 class TestProjector:
     def test_headline_values(self):
-        out = projector_invariant_dims(k3_enriques(), 2, "H")
+        out = projector_tables(k3_enriques(), 2)["H"]
         assert out[2, 2] == 112
         assert out[1, 1] == 10
 
     def test_single_factor_full_group_gives_quotient(self):
-        out = projector_invariant_dims(k3_enriques(), 1, "G")
+        out = projector_tables(k3_enriques(), 1)["G"]
         assert out[1, 1] == 10
         assert out == k3_enriques().plus_part()
 
     def test_agrees_with_class_sum_on_preset(self):
         table = k3_enriques()
         for n in (1, 2, 3):
-            for which in ("Sn", "G", "H"):
-                assert (projector_invariant_dims(table, n, which)
-                        == invariant_dims(table, n, which))
+            out = projector_tables(table, n)
+            for which in WHICH:
+                assert out[which] == invariant_dims(table, n, which)
 
     def test_agrees_on_seeded_random_tables(self):
         for table in seeded_equiv_tables(8):
-            for which in ("Sn", "G", "H"):
-                assert (projector_invariant_dims(table, 2, which)
-                        == invariant_dims(table, 2, which))
+            out = projector_tables(table, 2)
+            for which in WHICH:
+                assert out[which] == invariant_dims(table, 2, which)
 
     def test_empty_minus_part_reduces_to_plain_symmetric(self):
         plain = EquivHodgeTable({(0, 0): (2, 0), (1, 1): (3, 0)}, 1)
-        sn = projector_invariant_dims(plain, 2, "Sn")
-        h = projector_invariant_dims(plain, 2, "H")
-        assert sn == h  # twists act trivially when nothing is anti-invariant
+        out = projector_tables(plain, 2)
+        # twists act trivially when nothing is anti-invariant
+        assert out["Sn"] == out["H"]
 
     @pytest.mark.parametrize("which", ["Sn", "G", "H"])
     def test_equals_literal_average(self, which):
@@ -202,40 +231,75 @@ class TestProjector:
                 for lab in labeled_basis(table, n):
                     moved, sign = apply_element(g, lab)
                     if moved == lab:
-                        deg = (sum(s[0] for s in lab), sum(s[1] for s in lab))
-                        sums[deg] = sums.get(deg, 0) + sign
+                        sums[degree(lab)] = sums.get(degree(lab), 0) + sign
             expected = {}
             for deg, value in sums.items():
                 dim, rem = divmod(value, len(elements))
                 assert rem == 0
                 if dim:
                     expected[deg] = dim
-            out = projector_invariant_dims(table, n, which)
+            out = projector_tables(table, n)[which]
             assert dict(out.items()) == expected
 
-    @pytest.mark.parametrize("which", ["Sn", "G", "H"])
+    @pytest.mark.parametrize("which", WHICH)
     def test_visits_every_element_and_scans_each_permutation_once(
             self, which, monkeypatch):
+        # one pass for all three groups: G enumerated once, one basis, one
+        # scan per permutation, and each group credited with its own elements
         table, n = k3_enriques(), 3
-        scanned, visited = [], []
-        fixed_counts, add_signed_counts = oracle._fixed_counts, oracle._add_signed_counts
+        enumerated, built, scanned, credited = [], [], [], {w: [] for w in WHICH}
+        enumerate_, keyed_basis = oracle.enumerate_group, oracle._keyed_basis
+        fixed_counts, groups_containing = oracle._fixed_counts, oracle._groups_containing
+
+        def enumerate_counted(n, which):
+            enumerated.append(which)
+            return enumerate_(n, which)
+
+        def keyed_counted(table, n):
+            built.append(n)
+            return keyed_basis(table, n)
 
         def scan(perm, basis):
             scanned.append((perm, sum(len(labels) for _, labels in basis)))
             return fixed_counts(perm, basis)
 
-        def add(g, counts, sums):
-            visited.append(g)
-            add_signed_counts(g, counts, sums)
+        def groups(g):
+            out = groups_containing(g)
+            for w in out:
+                credited[w].append(g)
+            return out
 
+        monkeypatch.setattr(oracle, "enumerate_group", enumerate_counted)
+        monkeypatch.setattr(oracle, "_keyed_basis", keyed_counted)
         monkeypatch.setattr(oracle, "_fixed_counts", scan)
-        monkeypatch.setattr(oracle, "_add_signed_counts", add)
-        out = projector_invariant_dims(table, n, which)
-        elements = enumerate_group(n, which)
-        assert visited == elements
-        perms = list(dict.fromkeys(g.perm for g in elements))
+        monkeypatch.setattr(oracle, "_groups_containing", groups)
+        out = projector_tables(table, n)
+        assert enumerated == ["G"]
+        assert built == [n]
+        perms = list(itertools.permutations(range(n)))
         assert scanned == [(perm, table.total_dim() ** n) for perm in perms]
-        assert out == invariant_dims(table, n, which)
+        assert credited[which] == enumerate_group(n, which)
+        assert out[which] == invariant_dims(table, n, which)
+
+    def test_miscredited_element_refused(self, monkeypatch):
+        # a membership filter that lets one odd-twist element into H must
+        # fail loudly rather than average over a non-group
+        groups_containing = oracle._groups_containing
+        leaked = []
+
+        def leaky(g):
+            out = groups_containing(g)
+            if sum(g.twist) % 2 and not leaked:
+                leaked.append(g)
+                out = [*out, "H"]
+            return out
+
+        monkeypatch.setattr(oracle, "_groups_containing", leaky)
+        order = group_order(3, "H")
+        with pytest.raises(IntegralityViolation,
+                           match=f"{order + 1} elements credited to H at n = 3"):
+            projector_tables(k3_enriques(), 3)
+        assert len(leaked) == 1
 
 
 def test_oracle_imports_only_bigraded_and_group():

@@ -15,7 +15,9 @@ def test_every_exported_name_resolves():
                                   "BlowupPlan", "CenterLabel", "h_one_top",
                                   "h_top_minus", "euler_check", "MismatchReport",
                                   "h2_cover", "shift_by", "NegativeIndex",
-                                  "blowup_assemble", "DimensionMismatch"])
+                                  "blowup_assemble", "DimensionMismatch",
+                                  "projector_invariant_dims", "labeled_basis",
+                                  "apply_element", "element_trace"])
 def test_removed_name_not_exported(name):
     assert name not in hodgekit.__all__
     assert not hasattr(hodgekit, name)
