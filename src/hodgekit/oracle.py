@@ -19,17 +19,7 @@ import itertools
 import math
 
 from .bigraded import EquivHodgeTable, HodgeTable, IntegralityViolation
-from .group import (
-    ENUMERATION_GUARD,
-    WHICH,
-    WORK_GUARD,
-    GroupElement,
-    TooLarge,
-    enumerate_group,
-    group_order,
-)
-
-LABEL_GUARD = 20000
+from .group import WHICH, GroupElement, _check_work, enumerate_group, group_order
 
 #: A slot label is (p, q, eigen, index): bidegree, eigen-sign (+1/-1) under
 #: the involution, and position inside that eigenspace.  A basis label of
@@ -40,7 +30,7 @@ Label = tuple[SlotLabel, ...]
 _Kind = tuple[tuple[int, int, int], ...]
 
 
-def slot_basis(table: EquivHodgeTable) -> list[SlotLabel]:
+def _slot_basis(table: EquivHodgeTable) -> list[SlotLabel]:
     """Labels for one tensor factor, in a fixed deterministic order."""
     out: list[SlotLabel] = []
     for (p, q), (d_plus, d_minus) in table.items():
@@ -51,12 +41,8 @@ def slot_basis(table: EquivHodgeTable) -> list[SlotLabel]:
 
 def _keyed_basis(table: EquivHodgeTable, n: int) -> list[tuple[_Kind, list[Label]]]:
     """The basis labels of the n-th tensor power grouped by kind, one entry
-    per kind, guarded in size."""
-    single = slot_basis(table)
-    if len(single) ** n > LABEL_GUARD:
-        raise TooLarge(
-            f"{len(single)}^{n} labels exceed the oracle guard {LABEL_GUARD}"
-        )
+    per kind."""
+    single = _slot_basis(table)
     by_kind: dict[tuple[int, int, int], list[SlotLabel]] = {}
     for slot in single:
         by_kind.setdefault(slot[:3], []).append(slot)
@@ -122,17 +108,12 @@ def projector_tables(table: EquivHodgeTable, n: int) -> dict[str, HodgeTable]:
     the signed number of fixed labels.  G is enumerated once; each element
     signs its counts into every group containing it.  Each group must be
     credited exactly its order in elements, and each division must be exact.
+    Work of labels^n x |G| above the work guard is refused before any basis
+    is built.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    labels = table.total_dim() ** n
-    order = group_order(n, "G")
-    # above the enumeration guard, enumerate_group refuses first, naming n
-    if n <= ENUMERATION_GUARD and labels * order > WORK_GUARD:
-        raise TooLarge(
-            f"{labels} labels x {order} elements of G at n = {n} "
-            f"exceed the oracle work guard {WORK_GUARD}"
-        )
+    _check_work(n, "G", table.total_dim())
     basis = _keyed_basis(table, n)
     counts_by_perm: dict[tuple[int, ...], dict[_Kind, int]] = {}
     sums: dict[str, dict[_Kind, int]] = {which: {} for which in WHICH}

@@ -5,6 +5,7 @@ import random
 from hypothesis import strategies as st
 
 from hodgekit.bigraded import EquivHodgeTable, HodgeTable
+from hodgekit.group import GroupElement, SignedCycleType
 
 
 def _dimension_for(support):
@@ -63,3 +64,28 @@ def seeded_equiv_tables(count, seed=20240801, max_degree=3, max_dim=3):
             entries[(p, q)] = (d_plus, d_minus)
         tables.append(EquivHodgeTable(entries, _dimension_for(entries)))
     return tables
+
+
+def identity(n):
+    """The identity of the signed-permutation group on n slots."""
+    return GroupElement(tuple(range(n)), (0,) * n)
+
+
+def signed_cycle_type(g):
+    """The signed cycle type of g, found independently of the census: walk
+    each cycle of the permutation from its smallest slot and XOR the twists
+    met on the way."""
+    unvisited = set(range(g.n))
+    parts = []
+    while unvisited:
+        start = slot = min(unvisited)
+        length = parity = 0
+        while True:
+            unvisited.remove(slot)
+            length += 1
+            parity ^= g.twist[slot]
+            slot = g.perm[slot]
+            if slot == start:
+                break
+        parts.append((length, parity))
+    return SignedCycleType(tuple(parts))

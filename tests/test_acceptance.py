@@ -6,12 +6,12 @@ lines inline.  All comparisons are exact integer equalities.
 
 from hodgekit.bigraded import enriques, k3, k3_enriques
 from hodgekit.cover import cover_diamond_n2, exceptional_orbits
-from hodgekit.group import classes, enumerate_group, group_order, signed_cycle_type
+from hodgekit.group import classes, enumerate_group, group_order
 from hodgekit.hilbert import euler_product_coefficients, hilbert_diamond, hilbert_series
 from hodgekit.invariants import invariant_dims, sym_product
 from hodgekit.oracle import projector_tables
 
-from conftest import seeded_equiv_tables
+from conftest import seeded_equiv_tables, signed_cycle_type
 
 
 def _report(cid, description, failures):

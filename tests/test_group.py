@@ -13,21 +13,20 @@ from hypothesis import strategies as st
 from hodgekit import group
 from hodgekit.bigraded import IntegralityViolation
 from hodgekit.group import (
-    ENUMERATION_GUARD,
+    WHICH,
     WORK_GUARD,
     GroupElement,
     SignedCycleType,
     TooLarge,
-    class_size,
     classes,
     element_census,
     enumerate_group,
     group_order,
-    identity,
-    signed_cycle_type,
     slot_twist,
     transposition,
 )
+
+from conftest import identity, signed_cycle_type
 
 
 @st.composite
@@ -69,10 +68,6 @@ class TestEnumeration:
             for i in range(n):
                 assert slot_twist(n, (i,)) not in h
 
-    def test_guard(self):
-        with pytest.raises(TooLarge):
-            enumerate_group(ENUMERATION_GUARD + 1, "G")
-
     @pytest.mark.parametrize("which", ["G", "H"])
     def test_order_bound(self, which, monkeypatch):
         # both orders at n = 8 exceed the bound; no element may be built
@@ -83,10 +78,28 @@ class TestEnumeration:
 
         monkeypatch.setattr(itertools, "permutations", refuse)
         monkeypatch.setattr(itertools, "product", refuse)
-        order = group_order(8, which)
-        assert order > WORK_GUARD
-        with pytest.raises(TooLarge, match=f"order {order}"):
+        assert group_order(8, which) > WORK_GUARD
+        with pytest.raises(TooLarge, match=f"the elements of {which} at n = 8 "
+                                           f"exceed the work guard {WORK_GUARD}"):
             enumerate_group(8, which)
+
+    @pytest.mark.parametrize("which, largest", [("G", 7), ("H", 7), ("Sn", 9)])
+    def test_largest_enumerable_n(self, which, largest):
+        # the one guard admits exactly the orders up to WORK_GUARD
+        assert group_order(largest, which) <= WORK_GUARD < group_order(largest + 1, which)
+        group._check_work(largest, which)
+        with pytest.raises(TooLarge, match=f"{which} at n = {largest + 1}"):
+            group._check_work(largest + 1, which)
+
+    @pytest.mark.parametrize("which", WHICH)
+    def test_huge_n_refused_without_the_order(self, which, monkeypatch):
+        # 2^n * n! at n = 10^6 takes seconds; the guard must not compute it
+        def refuse(k):
+            raise AssertionError("factorial computed by the work guard")
+
+        monkeypatch.setattr(group, "math", SimpleNamespace(factorial=refuse))
+        with pytest.raises(TooLarge, match=f"{which} at n = 1000000"):
+            enumerate_group(10 ** 6, which)
 
     def test_sn_at_n8_within_order_bound(self):
         assert len(enumerate_group(8, "Sn")) == math.factorial(8)
@@ -155,9 +168,30 @@ class TestSignedCycleType:
             assert signed_cycle_type(conj) == signed_cycle_type(g)
 
 
+def class_size(ct):
+    """Closed-form number of elements of G with the given signed cycle type.
+
+    With a_l^t cycles of length l and parity t, the centralizer in G has
+    order prod_l (2l)^{a_l^0 + a_l^1} * a_l^0! * a_l^1!, which gives
+
+        n! * prod_l 2^{(l-1)(a_l^0 + a_l^1)} / prod_l l^{a_l^0+a_l^1} a_l^0! a_l^1!
+    """
+    counts = {}
+    for part in ct.parts:
+        counts[part] = counts.get(part, 0) + 1
+    num = math.factorial(ct.n)
+    den = 1
+    for (length, _parity), mult in counts.items():
+        num *= 2 ** ((length - 1) * mult)
+        den *= length ** mult * math.factorial(mult)
+    size, rem = divmod(num, den)
+    assert rem == 0
+    return size
+
+
 class TestClasses:
     def test_sizes_sum_to_order(self):
-        for n in range(1, 9):
+        for n in range(1, 17):
             for which in ("G", "H"):
                 assert sum(s for _, s in classes(n, which)) == group_order(n, which)
 
@@ -176,17 +210,24 @@ class TestClasses:
                 assert grouped == classes(n, which)
                 assert element_census(n, which) == grouped
 
+    def test_sizes_match_closed_form(self):
+        # the recursion's centralizer orders against the factorial formula
+        for n in range(1, 13):
+            for which in ("G", "H"):
+                census = classes(n, which)
+                assert census == [(ct, class_size(ct)) for ct, _ in census]
+
     def test_class_size_single_cycle(self):
         # one untwisted n-cycle: n! * 2^(n-1) / n
-        ct = SignedCycleType(((4, 0),))
-        assert class_size(ct) == math.factorial(4) * 2 ** 3 // 4
+        sizes = dict(classes(4, "G"))
+        assert sizes[SignedCycleType(((4, 0),))] == math.factorial(4) * 2 ** 3 // 4
 
     def test_class_size_remainder_raises(self, monkeypatch):
         # unreachable with the true factorial: with 0! = 1! = ... = 1 a
-        # single 3-cycle gives 2^2 / 3
+        # single 3-cycle gives 2^3 / (6 * 1! * 0!)
         monkeypatch.setattr(group, "math", SimpleNamespace(factorial=lambda k: 1))
-        with pytest.raises(IntegralityViolation):
-            class_size(SignedCycleType(((3, 0),)))
+        with pytest.raises(IntegralityViolation, match=r"8/6 of SignedCycleType\(3\)"):
+            classes(3, "G")
 
     def test_deterministic_order(self):
         assert classes(5, "H") == classes(5, "H")
@@ -196,6 +237,28 @@ class TestClasses:
             assert ct.in_h()
         for ct, _ in classes(4, "G"):
             assert ct.in_h() == (ct.twisted_cycles() % 2 == 0)
+
+
+def test_one_work_guard():
+    # every size bound on explicit work is WORK_GUARD, compared in one function
+    src = Path(group.__file__).resolve().parent
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))]
+    guards = sorted(target.id
+                    for tree in trees
+                    for node in tree.body
+                    if isinstance(node, (ast.Assign, ast.AnnAssign))
+                    for target in (node.targets if isinstance(node, ast.Assign)
+                                   else [node.target])
+                    if isinstance(target, ast.Name) and target.id.endswith("_GUARD"))
+    assert guards == ["WORK_GUARD"]
+    comparing = {func.name
+                 for tree in trees
+                 for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                 for node in ast.walk(func) if isinstance(node, ast.Compare)
+                 for name in ast.walk(node)
+                 if isinstance(name, ast.Name) and name.id == "WORK_GUARD"}
+    assert comparing == {"_check_work"}
 
 
 def test_src_has_no_assert_statements():

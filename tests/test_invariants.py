@@ -110,7 +110,8 @@ class TestInvariantDims:
                     == class_sum_dims(small, 4, which)
                     == projector_tables(small, 4)[which])
 
-    # at most 18 labels per slot: 18^3 stays under the oracle's label guard
+    # at most 18 labels per slot: 18^3 x |G| = 48 at n = 3 stays under the
+    # work guard
     @given(equiv_tables(), st.sampled_from(WHICH))
     @settings(max_examples=40, deadline=None)
     def test_three_routes_agree(self, table, which):

@@ -3,27 +3,25 @@
 import ast
 import itertools
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from hodgekit import oracle
+from hodgekit import group, oracle
 from hodgekit.bigraded import EquivHodgeTable, IntegralityViolation, k3_enriques
 from hodgekit.group import (
-    ENUMERATION_GUARD,
     WHICH,
     WORK_GUARD,
     TooLarge,
     enumerate_group,
     group_order,
-    identity,
-    signed_cycle_type,
     slot_twist,
     transposition,
 )
 from hodgekit.invariants import class_trace, invariant_dims
-from hodgekit.oracle import projector_tables, slot_basis
+from hodgekit.oracle import _slot_basis, projector_tables
 
-from conftest import seeded_equiv_tables
+from conftest import identity, seeded_equiv_tables, signed_cycle_type
 
 
 # The literal witness: every label of the explicit basis moved one by one,
@@ -31,7 +29,7 @@ from conftest import seeded_equiv_tables
 
 def labeled_basis(table, n):
     """All basis labels of the n-th tensor power."""
-    return list(itertools.product(slot_basis(table), repeat=n))
+    return list(itertools.product(_slot_basis(table), repeat=n))
 
 
 def apply_element(g, label):
@@ -68,19 +66,12 @@ def element_trace(g, table):
 class TestBasis:
     def test_slot_count_is_total_dim(self):
         t = k3_enriques()
-        assert len(slot_basis(t)) == t.total_dim() == 24
+        assert len(_slot_basis(t)) == t.total_dim() == 24
 
     def test_labels_unique(self):
         labels = labeled_basis(k3_enriques(), 2)
         assert len(labels) == 24 ** 2
         assert len(set(labels)) == len(labels)
-
-    def test_guard(self):
-        # 30000 labels x |G| = 2 at n = 1 pass the work guard; the label
-        # guard must trip
-        with pytest.raises(TooLarge,
-                           match=r"30000\^1 labels exceed the oracle guard 20000"):
-            projector_tables(EquivHodgeTable({(0, 0): (30000, 0)}, 0), 1)
 
     def test_keyed_basis(self):
         cases = [(k3_enriques(), n) for n in (1, 2)]
@@ -95,43 +86,65 @@ class TestBasis:
                 for label in of_kind:
                     # the kind holds each slot's bidegree and eigen-sign
                     assert kind == tuple((p, q, eigen) for p, q, eigen, _ in label)
-        with pytest.raises(TooLarge, match=r"24\^4 labels exceed the oracle guard 20000"):
-            oracle._keyed_basis(k3_enriques(), 4)
 
-    @pytest.mark.parametrize("n", [ENUMERATION_GUARD + 1, 20])
+    @pytest.mark.parametrize("n", [9, 20])
     def test_sn_enumeration_guard(self, n, monkeypatch):
-        # one label per slot passes the label guard; the element guard must
-        # trip before a single permutation is generated
+        # one label per slot, but |G| alone exceeds the work guard, which
+        # must trip before a single permutation is generated
         def refuse(*args):
             raise AssertionError("permutations enumerated past the guard")
 
         monkeypatch.setattr(itertools, "permutations", refuse)
-        with pytest.raises(TooLarge, match=f"n <= {ENUMERATION_GUARD}"):
+        with pytest.raises(TooLarge, match=f"1 labels per slot x the elements of G "
+                                           f"at n = {n} exceed the work guard"):
             projector_tables(EquivHodgeTable({(0, 0): (1, 0)}, 0), n)
 
     def test_work_guard(self, monkeypatch):
-        # one label passes the label guard, but 1 x |G| at n = 8 exceeds the
-        # work guard, which must trip before the group is enumerated
+        # 1 label x |G| at n = 8 exceeds the work guard, which must trip
+        # before the group is enumerated
         def refuse(*args):
             raise AssertionError("group enumerated past the work guard")
 
         monkeypatch.setattr(oracle, "enumerate_group", refuse)
-        order = group_order(8, "G")
-        with pytest.raises(TooLarge,
-                           match=f"1 labels x {order} elements of G .* {WORK_GUARD}"):
+        with pytest.raises(TooLarge, match=f"1 labels per slot x the elements of G "
+                                           f"at n = 8 exceed the work guard {WORK_GUARD}"):
             projector_tables(EquivHodgeTable({(0, 0): (1, 0)}, 0), 8)
 
     def test_work_guard_before_basis(self, monkeypatch):
-        # 10^4 labels pass the label guard, but 10^4 x |G| at n = 4 exceeds
-        # the work guard, which must trip before the basis is built
+        # 10^4 labels x |G| at n = 4 exceeds the work guard, which must trip
+        # before the basis is built
         def refuse(*args):
             raise AssertionError("basis built past the work guard")
 
         monkeypatch.setattr(oracle, "_keyed_basis", refuse)
-        order = group_order(4, "G")
-        with pytest.raises(TooLarge,
-                           match=f"10000 labels x {order} elements of G .* {WORK_GUARD}"):
+        with pytest.raises(TooLarge, match=f"10 labels per slot x the elements of G "
+                                           f"at n = 4 exceed the work guard {WORK_GUARD}"):
             projector_tables(EquivHodgeTable({(0, 0): (10, 0)}, 0), 4)
+
+    def test_work_guard_boundary_at_n3(self, monkeypatch):
+        # 27^3 labels x |G| = 48 is 944,784 checks and is computed; 28^3 x 48
+        # is 1,053,696 and is refused before the basis is built
+        table = EquivHodgeTable({(0, 0): (14, 13)}, 0)
+        out = projector_tables(table, 3)
+        for which in WHICH:
+            assert out[which] == invariant_dims(table, 3, which)
+
+        def refuse(*args):
+            raise AssertionError("basis built past the work guard")
+
+        monkeypatch.setattr(oracle, "_keyed_basis", refuse)
+        with pytest.raises(TooLarge, match="28 labels per slot x the elements of G at n = 3"):
+            projector_tables(EquivHodgeTable({(0, 0): (14, 14)}, 0), 3)
+
+    def test_huge_n_refused_without_the_order(self, monkeypatch):
+        # 2^n * n! at n = 10^6 takes seconds; the guard must not compute it
+        def refuse(k):
+            raise AssertionError("factorial computed by the work guard")
+
+        monkeypatch.setattr(group, "math", SimpleNamespace(factorial=refuse))
+        with pytest.raises(TooLarge, match="24 labels per slot x the elements of G "
+                                           "at n = 1000000"):
+            projector_tables(k3_enriques(), 10 ** 6)
 
 
 class TestApplyElement:
@@ -140,19 +153,19 @@ class TestApplyElement:
         assert apply_element(identity(2), lab) == (lab, 1)
 
     def test_double_twist_on_antiinvariant_pair(self):
-        minus = next(s for s in slot_basis(k3_enriques()) if s[2] == -1)
+        minus = next(s for s in _slot_basis(k3_enriques()) if s[2] == -1)
         lab = (minus, minus)
         assert apply_element(slot_twist(2, (0, 1)), lab) == (lab, 1)
 
     def test_single_twist_sign(self):
-        minus = next(s for s in slot_basis(k3_enriques()) if s[2] == -1)
-        plus = next(s for s in slot_basis(k3_enriques()) if s[2] == +1)
+        minus = next(s for s in _slot_basis(k3_enriques()) if s[2] == -1)
+        plus = next(s for s in _slot_basis(k3_enriques()) if s[2] == +1)
         moved, sign = apply_element(slot_twist(2, (0,)), (minus, plus))
         assert moved == (minus, plus)
         assert sign == -1
 
     def test_swap_moves_without_sign(self):
-        a, b = slot_basis(k3_enriques())[:2]
+        a, b = _slot_basis(k3_enriques())[:2]
         moved, sign = apply_element(transposition(2, 0, 1), (a, b))
         assert moved == (b, a)
         assert sign == 1

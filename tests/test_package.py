@@ -17,7 +17,8 @@ def test_every_exported_name_resolves():
                                   "h2_cover", "shift_by", "NegativeIndex",
                                   "blowup_assemble", "DimensionMismatch",
                                   "projector_invariant_dims", "labeled_basis",
-                                  "apply_element", "element_trace"])
+                                  "apply_element", "element_trace",
+                                  "signed_cycle_type"])
 def test_removed_name_not_exported(name):
     assert name not in hodgekit.__all__
     assert not hasattr(hodgekit, name)
