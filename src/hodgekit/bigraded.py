@@ -226,8 +226,9 @@ def direct_sum(a: HodgeTable, b: HodgeTable) -> HodgeTable:
 
 def _sum_of_products(pairs) -> dict[tuple[int, int], int]:
     """Raw {(p, q): coefficient} of the sum of the Kunneth products a * b
-    over the (a, b) pairs: the package's one multiply-add loop over table
-    entries.  Callers reject odd degrees and build the validated table."""
+    over the (a, b) pairs, one multiply-add per pair of table entries (the
+    Newton recurrence packs its tables instead).  Callers reject odd degrees
+    and build the validated table."""
     entries: dict[tuple[int, int], int] = {}
     for a, b in pairs:
         for (s, t), d in a._entries.items():

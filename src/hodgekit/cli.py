@@ -45,7 +45,7 @@ PASS = "pass"
 FAIL = "fail"
 NOTED = "discrepancy-noted"
 
-#: Largest n the diamond command accepts; n = 40 takes a few seconds.
+#: Largest n the diamond command accepts; n = 40 takes under a second.
 DIAMOND_N_MAX = 40
 
 #: Largest --n-max verify-paper accepts; 20 takes a few seconds.

@@ -9,7 +9,9 @@ symmetric powers,
 since H is the kernel of the twist-parity character.  :func:`sym_powers`
 computes Sym^0..Sym^n of a table at once by Newton's power-sum recurrence
 m * Sym^m = sum_k psi^k(V) * Sym^(m-k), where psi^k multiplies every
-bidegree by k.  This yields quotient cohomology and symmetric products.
+bidegree by k; each coefficient is packed into one integer, so a step adds
+shifted multiples of integers.  This yields quotient cohomology and
+symmetric products.
 
 Audit route, sharing no arithmetic with production: :func:`class_sum_dims`
 averages graded traces over the group.  The trace of an element depends
@@ -25,12 +27,13 @@ the negative coefficients a single trace can have.
 
 from __future__ import annotations
 
+from itertools import compress, count
+
 from .bigraded import (
     EquivHodgeTable,
     HodgeTable,
     IntegralityViolation,
     _reject_odd,
-    _sum_of_products,
     direct_sum,
     point,
 )
@@ -68,18 +71,44 @@ def _newton(terms: list[HodgeTable], dimension: int) -> list[HodgeTable]:
     """X_0..X_len(terms) from m * X_m = sum_{j=1..m} terms[j-1] * X_(m-j), with
     X_0 the point and X_m of dimension m * dimension.  Odd degrees are
     rejected once, before any product: every X_m's support is a sum of term
-    supports.  Each step is one multiply-add pass and one validated table;
-    each division by m must be exact, a remainder raises IntegralityViolation."""
+    supports.  Each X_m is also one integer (Kronecker substitution): (p, q)
+    of weight d = (p+q)/2 and level e = (p-q)/2 sits in slot d*W + e + R,
+    R bounding |e| over the series and W = 2R + 1, stored shifted down past
+    its empty low slots.  A slot is whole 64-bit words, wider than any
+    coefficient of m * X_m (bounded by the recurrence on total dimensions);
+    with no negative entries no slot carries.  A step adds shifted small
+    multiples, reads the nonzero slots and builds one validated table; a
+    remainder in a division by m raises IntegralityViolation."""
     _reject_odd(pq for term in terms for pq in term._entries)
-    xs = [point()]
-    for m in range(1, len(terms) + 1):
+    n, dims, sums, totals = len(terms), [t.total_dim() for t in terms], [0], [1]
+    for m in range(1, n + 1):
+        sums.append(sum(d * x for d, x in zip(dims, reversed(totals))))
+        totals.append(sums[-1] // m)
+    words = -(-max(sums).bit_length() // 64) or 1
+    bits, size = 64 * words, 8 * words
+    reach = max((abs(p - q) // 2 * n // j for j, t in enumerate(terms, 1)
+                 for p, q in t._entries), default=0)
+    width = 2 * reach + 1
+    shifts = [sorted((((p + q) // 2 * width + (p - q) // 2) * bits, c)
+                     for (p, q), c in t._entries.items()) for t in terms]
+    xs, packed = [point()], [(1, reach * bits)]
+    for m in range(1, n + 1):
+        pairs = list(zip(reversed(packed), shifts))
+        base = min((b + term[0][0] for (_, b), term in pairs if term), default=0)
+        acc = sum(x * c << b + s - base for (x, b), term in pairs for s, c in term)
+        raw = acc.to_bytes(-(-acc.bit_length() // bits) * size, "little")
         entries = {}
-        for pq, value in _sum_of_products(zip(terms, reversed(xs))).items():
+        for slot in dict.fromkeys(i // words for i in
+                                  compress(count(), memoryview(raw).cast("Q"))):
+            value = int.from_bytes(raw[slot * size:slot * size + size], "little")
+            d, e = divmod(slot + base // bits, width)
+            pq = (d + e - reach, d - e + reach)
             entries[pq], rem = divmod(value, m)
             if rem:
                 raise IntegralityViolation(
                     f"Newton sum {value} at {pq} does not divide by {m}")
         xs.append(HodgeTable(entries, m * dimension))
+        packed.append((acc // m, base))
     return xs
 
 

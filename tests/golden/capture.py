@@ -42,7 +42,12 @@ def cases() -> list[tuple[str, list[str]]]:
              "cover", "2"]),
            ("diamond-k3_enriques-quotient-H-5.txt",
             ["diamond", "--preset", "k3_enriques", "--format", "table",
-             "quotient", "5", "H"])]
+             "quotient", "5", "H"]),
+           # n = 40 on k3: the top coefficients pass 2^64.
+           ("diamond-k3-hilb-40.json",
+            ["diamond", "--preset", "k3", "--format", "json", "hilb", "40"]),
+           ("diamond-k3-sym-40.json",
+            ["diamond", "--preset", "k3", "--format", "json", "sym", "40"])]
     for preset in PRESETS:
         for op, *group in OPERATIONS:
             for n in SIZES:

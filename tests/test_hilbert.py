@@ -141,7 +141,7 @@ class TestHilbertDiamond:
             return q + HodgeTable({(0, 0): 1}, 0) if j == 2 else q
 
         monkeypatch.setattr(mod, "_log_term", corrupted)
-        with pytest.raises(IntegralityViolation):
+        with pytest.raises(IntegralityViolation, match="does not divide by"):
             hilbert_diamond(enriques(), 2)
 
 

@@ -22,7 +22,7 @@ from hodgekit.bigraded import (
     tensor,
 )
 from hodgekit.group import SignedCycleType
-from hodgekit.hilbert import _log_term, hilbert_series
+from hodgekit.hilbert import _log_term, euler_product_coefficients, hilbert_series
 from hodgekit.invariants import (
     WHICH,
     IntegralityViolation,
@@ -169,7 +169,7 @@ class TestInvariantDims:
             return psi + HodgeTable({(0, 0): 1}, 0) if k == 2 else psi
 
         monkeypatch.setattr(mod, "_adams", corrupted)
-        with pytest.raises(IntegralityViolation):
+        with pytest.raises(IntegralityViolation, match="does not divide by"):
             invariant_dims(k3_enriques(), 2, "H")
 
 
@@ -194,12 +194,48 @@ class TestNewtonKernel:
         terms = [_log_term(surface, j) for j in range(1, 13)]
         assert_same_series(hilbert_series(surface, 12), reference_newton(terms, 2))
 
+    def test_multi_word_slots(self):
+        # h^{1,1} = 2^40: the Sym^3 coefficients need two 64-bit words a slot
+        surface = HodgeTable({(0, 0): 1, (1, 1): 2 ** 40, (2, 2): 1}, 2)
+        terms = [_adams(surface, k) for k in range(1, 4)]
+        xs = sym_powers(surface, 3)
+        assert_same_series(xs, reference_newton(terms, 2))
+        assert max(d.bit_length() for _, d in xs[3].items()) > 64
+
+    def test_hilbert_series_past_64_bits_keeps_euler_numbers(self):
+        series = hilbert_series(k3(), 40)
+        assert [h.euler() for h in series] == euler_product_coefficients(24, 40)
+        assert max(d.bit_length() for _, d in series[40].items()) > 64
+
+    @pytest.mark.parametrize("surface", [
+        enriques(),
+        k3_enriques().minus_part(),
+        HodgeTable({(0, 0): 1, (4, 0): 2, (2, 2): 3}, 2),
+    ], ids=["diagonal", "level-n", "entry-at-4-0"])
+    def test_level_extremes_equal_reference(self, surface):
+        terms = [_adams(surface, k) for k in range(1, 9)]
+        xs = sym_powers(surface, 8)
+        assert_same_series(xs, reference_newton(terms, surface.dimension))
+        reach = max(abs(p - q) // 2 for p, q in surface.support())
+        assert max(abs(p - q) // 2 for p, q in xs[8].support()) == 8 * reach
+
+    def test_seeded_threefolds_equal_reference(self):
+        # entries up to degree 5, so most draws have dimension 3
+        threefolds = [t for t in seeded_equiv_tables(20, max_degree=5)
+                      if t.dimension == 3]
+        assert len(threefolds) >= 10
+        for table in threefolds:
+            for part in (table.forget(), table.plus_part(), table.minus_part()):
+                terms = [_adams(part, k) for k in range(1, 7)]
+                assert_same_series(sym_powers(part, 6),
+                                   reference_newton(terms, part.dimension))
+
     def test_one_pass_and_one_table_per_coefficient(self, monkeypatch):
         # a work count, not a timing: the point X_0, then per step one
-        # multiply-add pass over all its pairs and one validated table
+        # validated table, and never the dict loop over pairs of entries
         terms = [_adams(k3(), k) for k in range(1, 13)]
         expected = reference_newton(terms, 2)
-        built, pairs_per_pass, validated = [], [], []
+        built, validated = [], []
 
         class Counted(HodgeTable):
             __slots__ = ()
@@ -208,12 +244,8 @@ class TestNewtonKernel:
                 built.append(dimension)
                 super().__init__(entries, dimension)
 
-        honest_sum = mod._sum_of_products
-
-        def counted_sum(pairs):
-            pairs = list(pairs)
-            pairs_per_pass.append(len(pairs))
-            return honest_sum(pairs)
+        def refuse(pairs):
+            raise AssertionError("the Newton kernel ran the dict loop")
 
         honest_validate = bigraded._validated_entries
 
@@ -222,19 +254,21 @@ class TestNewtonKernel:
             return honest_validate(entries, dimension)
 
         monkeypatch.setattr(mod, "HodgeTable", Counted)
-        monkeypatch.setattr(mod, "_sum_of_products", counted_sum)
+        monkeypatch.setattr(bigraded, "_sum_of_products", refuse)
+        monkeypatch.setattr(mod, "_sum_of_products", refuse, raising=False)
         monkeypatch.setattr(bigraded, "_validated_entries", counted_validate)
         xs = mod._newton(terms, 2)
         assert built == [2 * m for m in range(1, 13)]
-        assert pairs_per_pass == list(range(1, 13))
         assert validated == [2 * m for m in range(13)]
         assert_same_series(xs, expected)
 
     def test_odd_degrees_refused_before_any_product(self, monkeypatch):
-        def refuse(pairs):
-            raise AssertionError("product formed before the odd-degree check")
+        # the kernel's first work is the slot-width bound from the terms'
+        # total dimensions; no product can be formed without it
+        def refuse(table):
+            raise AssertionError("slot width bounded before the odd-degree check")
 
-        monkeypatch.setattr(mod, "_sum_of_products", refuse)
+        monkeypatch.setattr(HodgeTable, "total_dim", refuse)
         with pytest.raises(OddCohomologyUnsupported, match=r"at \(1, 0\)"):
             sym_powers(HodgeTable({(1, 0): 2}, 1), 40)
 
