@@ -23,12 +23,7 @@ def _log_term(surface: HodgeTable, j: int) -> HodgeTable:
                                        for r in range(1, j + 1) if j % r == 0), 2 * j)
 
 
-def hilbert_series(surface: HodgeTable, n_max: int) -> list[HodgeTable]:
-    """Diamonds of Hilb^0..Hilb^n_max, each of dimension 2n, by
-    Newton's recurrence n * H_n = sum_j Q_j * H_(n-j) on log H(t).  Raises
-    ValueError, before any term is built, for a table that is not a surface
-    (dimension 2, entries within it, Hodge symmetry and Serre duality): the
-    product holds for surfaces only."""
+def _goettsche(surface: HodgeTable, n_max: int, last_only: bool) -> list[HodgeTable]:
     if surface.dimension != 2:
         raise ValueError(f"Hilbert schemes need a surface (dimension 2), "
                          f"got dimension {surface.dimension}")
@@ -36,15 +31,25 @@ def hilbert_series(surface: HodgeTable, n_max: int) -> list[HodgeTable]:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     return _newton([_log_term(surface, j) for j in range(1, n_max + 1)],
-                   surface.dimension)
+                   surface.dimension, last_only)
+
+
+def hilbert_series(surface: HodgeTable, n_max: int) -> list[HodgeTable]:
+    """Diamonds of Hilb^0..Hilb^n_max, each of dimension 2n, by
+    Newton's recurrence n * H_n = sum_j Q_j * H_(n-j) on log H(t).  Raises
+    ValueError, before any term is built, for a table that is not a surface
+    (dimension 2, entries within it, Hodge symmetry and Serre duality): the
+    product holds for surfaces only."""
+    return _goettsche(surface, n_max, False)
 
 
 def hilbert_diamond(surface: HodgeTable, n: int) -> HodgeTable:
     """Full Hodge diamond of the Hilbert scheme of n points: the t^n
-    coefficient of the Goettsche product."""
+    coefficient of the Goettsche product, the only one decoded.  Refuses a
+    non-surface as :func:`hilbert_series` does."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return hilbert_series(surface, n)[n]
+    return _goettsche(surface, n, True)[-1]
 
 
 def euler_product_coefficients(e: int, n_max: int) -> list[int]:

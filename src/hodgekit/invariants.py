@@ -10,8 +10,9 @@ since H is the kernel of the twist-parity character.  :func:`sym_powers`
 computes Sym^0..Sym^n of a table at once by Newton's power-sum recurrence
 m * Sym^m = sum_k psi^k(V) * Sym^(m-k), where psi^k multiplies every
 bidegree by k; each coefficient is packed into one integer, so a step adds
-shifted multiples of integers.  This yields quotient cohomology and
-symmetric products.
+shifted multiples of integers and one exact test on them checks every
+division by m.  Callers that return Sym^n alone decode only Sym^n.  This
+yields quotient cohomology and symmetric products.
 
 Audit route, sharing no arithmetic with production: :func:`class_sum_dims`
 averages graded traces over the group.  The trace of an element depends
@@ -67,49 +68,78 @@ def _adams(table: HodgeTable, k: int) -> HodgeTable:
                       k * table.dimension)
 
 
-def _newton(terms: list[HodgeTable], dimension: int) -> list[HodgeTable]:
-    """X_0..X_len(terms) from m * X_m = sum_{j=1..m} terms[j-1] * X_(m-j), with
-    X_0 the point and X_m of dimension m * dimension.  Odd degrees are
-    rejected once, before any product: every X_m's support is a sum of term
-    supports.  Each X_m is also one integer (Kronecker substitution): (p, q)
-    of weight d = (p+q)/2 and level e = (p-q)/2 sits in slot d*W + e + R,
-    R bounding |e| over the series and W = 2R + 1, stored shifted down past
-    its empty low slots.  A slot is whole 64-bit words, wider than any
-    coefficient of m * X_m (bounded by the recurrence on total dimensions);
-    with no negative entries no slot carries.  A step adds shifted small
-    multiples, reads the nonzero slots and builds one validated table; a
-    remainder in a division by m raises IntegralityViolation."""
+def _newton(terms: list[HodgeTable], dimension: int,
+            last_only: bool = False) -> list[HodgeTable]:
+    """X_0..X_len(terms), or [X_n] alone when last_only, from
+    m * X_m = sum_{j=1..m} terms[j-1] * X_(m-j), with X_0 the point and X_m of
+    dimension m * dimension.  Odd degrees are rejected once, before any
+    product: every X_m's support is a sum of term supports.  Each X_m is one
+    integer (Kronecker substitution): (p, q) of weight d = (p+q)/2 and level
+    e = (p-q)/2 sits in slot d*W + e + R, R bounding |e| over the series and
+    W = 2R + 1, stored shifted down past its empty low slots.  The recurrence
+    run on total dimensions bounds every coefficient of every X_m below
+    2^top; a slot is top + n.bit_length() bits rounded up to whole 64-bit
+    words, so with no negative entries no slot of m * X_m carries.
+
+    A step adds shifted small multiples into acc and keeps quo = acc // m
+    packed.  It is accepted by one test on the two integers: acc % m == 0 and
+    no bit at or above top set in any slot of quo.  Then m * w < 2^bits for
+    every slot w of quo, so the slots of acc are exactly the m * w and none
+    hides a remainder.  A failed test decodes acc and raises
+    IntegralityViolation naming the first slot that m does not divide.  Only
+    the returned coefficients are decoded into validated tables."""
     _reject_odd(pq for term in terms for pq in term._entries)
-    n, dims, sums, totals = len(terms), [t.total_dim() for t in terms], [0], [1]
+    n, dims, totals = len(terms), [t.total_dim() for t in terms], [1]
     for m in range(1, n + 1):
-        sums.append(sum(d * x for d, x in zip(dims, reversed(totals))))
-        totals.append(sums[-1] // m)
-    words = -(-max(sums).bit_length() // 64) or 1
+        totals.append(sum(d * x for d, x in zip(dims, reversed(totals))) // m)
+    top = max(totals).bit_length()
+    words = -(-(top + n.bit_length()) // 64)
     bits, size = 64 * words, 8 * words
     reach = max((abs(p - q) // 2 * n // j for j, t in enumerate(terms, 1)
                  for p, q in t._entries), default=0)
     width = 2 * reach + 1
     shifts = [sorted((((p + q) // 2 * width + (p - q) // 2) * bits, c)
                      for (p, q), c in t._entries.items()) for t in terms]
-    xs, packed = [point()], [(1, reach * bits)]
+    # X_n reaches no slot past R + n * max_j (top slot of terms[j-1]) / j
+    span = max((term[-1][0] // bits * n // j for j, term in enumerate(shifts, 1)
+                if term), default=0) + reach + 1
+    mask = int.from_bytes(((1 << bits) - (1 << top)).to_bytes(size, "little")
+                          * span, "little")
+
+    def slots(value, base):
+        raw = value.to_bytes(-(-value.bit_length() // bits) * size, "little")
+        for slot in dict.fromkeys(i // words for i in
+                                  compress(count(), memoryview(raw).cast("Q"))):
+            d, e = divmod(slot + base // bits, width)
+            yield ((d + e - reach, d - e + reach),
+                   int.from_bytes(raw[slot * size:slot * size + size], "little"))
+
+    xs = [point()] if n == 0 or not last_only else []
+    packed = [(1, reach * bits)]
     for m in range(1, n + 1):
         pairs = list(zip(reversed(packed), shifts))
         base = min((b + term[0][0] for (_, b), term in pairs if term), default=0)
         acc = sum(x * c << b + s - base for (x, b), term in pairs for s, c in term)
-        raw = acc.to_bytes(-(-acc.bit_length() // bits) * size, "little")
-        entries = {}
-        for slot in dict.fromkeys(i // words for i in
-                                  compress(count(), memoryview(raw).cast("Q"))):
-            value = int.from_bytes(raw[slot * size:slot * size + size], "little")
-            d, e = divmod(slot + base // bits, width)
-            pq = (d + e - reach, d - e + reach)
-            entries[pq], rem = divmod(value, m)
-            if rem:
-                raise IntegralityViolation(
-                    f"Newton sum {value} at {pq} does not divide by {m}")
-        xs.append(HodgeTable(entries, m * dimension))
-        packed.append((acc // m, base))
+        quo, rem = divmod(acc, m)
+        if rem or quo & mask:
+            for pq, value in slots(acc, base):
+                if value % m:
+                    raise IntegralityViolation(
+                        f"Newton sum {value} at {pq} does not divide by {m}")
+            raise IntegralityViolation(
+                f"Newton step {m}: a quotient slot reaches 2^{top}, past the "
+                f"bound from total dimensions")
+        packed.append((quo, base))
+        if m == n or not last_only:
+            xs.append(HodgeTable(dict(slots(quo, base)), m * dimension))
     return xs
+
+
+def _symmetric(surface: HodgeTable, n: int, last_only: bool) -> list[HodgeTable]:
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return _newton([_adams(surface, k) for k in range(1, n + 1)],
+                   surface.dimension, last_only)
 
 
 def sym_powers(surface: HodgeTable, n: int) -> list[HodgeTable]:
@@ -117,10 +147,7 @@ def sym_powers(surface: HodgeTable, n: int) -> list[HodgeTable]:
     m * S_m = sum_{k=1..m} psi^k(V) * S_(m-k) (Macdonald, The Poincare
     polynomial of a symmetric product, 1962).  A remainder in any division
     by m raises IntegralityViolation."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _newton([_adams(surface, k) for k in range(1, n + 1)],
-                   surface.dimension)
+    return _symmetric(surface, n, False)
 
 
 def invariant_dims(table: EquivHodgeTable, n: int, which: str) -> HodgeTable:
@@ -136,11 +163,11 @@ def invariant_dims(table: EquivHodgeTable, n: int, which: str) -> HodgeTable:
     if n < 1:
         raise ValueError("n must be >= 1")
     if which == "Sn":
-        return sym_powers(table.forget(), n)[n]
-    plus = sym_powers(table.plus_part(), n)[n]
+        return _symmetric(table.forget(), n, True)[-1]
+    plus = _symmetric(table.plus_part(), n, True)[-1]
     if which == "G":
         return plus
-    return direct_sum(plus, sym_powers(table.minus_part(), n)[n])
+    return direct_sum(plus, _symmetric(table.minus_part(), n, True)[-1])
 
 
 def class_sum_dims(table: EquivHodgeTable, n: int, which: str) -> HodgeTable:
@@ -171,4 +198,4 @@ def class_sum_dims(table: EquivHodgeTable, n: int, which: str) -> HodgeTable:
 
 def sym_product(surface: HodgeTable, m: int) -> HodgeTable:
     """Hodge diamond of the m-th symmetric product; m = 0 gives the point."""
-    return sym_powers(surface, m)[m]
+    return _symmetric(surface, m, True)[-1]

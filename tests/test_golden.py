@@ -17,13 +17,27 @@ def test_stdout_matches_golden(name, argv):
     assert run_cli(argv) == (GOLDEN_DIR / name).read_text(encoding="utf-8")
 
 
-def test_verify_paper_unchanged_under_optimize():
-    # python -O strips assert statements; every check the kernel relies on
-    # must raise explicitly, so the audit still prints the same bytes
-    script = ("import sys; from hodgekit.cli import main; "
-              "sys.exit(main(['verify-paper', '--n-max', '6', '--format', 'json']))")
+def stdout_under_optimize(argv):
+    """stdout bytes of one CLI run under python -O, which strips assert
+    statements; a nonzero exit fails the test."""
+    script = f"import sys; from hodgekit.cli import main; sys.exit(main({argv!r}))"
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (GOLDEN_DIR / "verify-paper-n6.json").read_bytes()
+    return proc.stdout
+
+
+def test_verify_paper_unchanged_under_optimize():
+    # every check the kernel relies on must raise explicitly, so the audit
+    # still prints the same bytes
+    assert (stdout_under_optimize(["verify-paper", "--n-max", "6", "--format", "json"])
+            == (GOLDEN_DIR / "verify-paper-n6.json").read_bytes())
+
+
+def test_diamond_hilb_40_unchanged_under_optimize():
+    # the Newton kernel decodes only the last of its 40 steps; each earlier
+    # step passes its exact division check, an exception and not an assert
+    argv = ["diamond", "--preset", "k3", "--format", "json", "hilb", "40"]
+    assert (stdout_under_optimize(argv)
+            == (GOLDEN_DIR / "diamond-k3-hilb-40.json").read_bytes())

@@ -144,6 +144,22 @@ class TestHilbertDiamond:
         with pytest.raises(IntegralityViolation, match="does not divide by"):
             hilbert_diamond(enriques(), 2)
 
+    def test_integrality_guard_trips_on_undecoded_log_step(self, monkeypatch):
+        # the same corruption on k3 at n = 5: step 2 is checked on the packed
+        # integers and never decoded into a table, yet names the entry
+        from hodgekit import hilbert as mod
+
+        honest = mod._log_term
+
+        def corrupted(surface, j):
+            q = honest(surface, j)
+            return q + HodgeTable({(0, 0): 1}, 0) if j == 2 else q
+
+        monkeypatch.setattr(mod, "_log_term", corrupted)
+        with pytest.raises(IntegralityViolation,
+                           match=r"Newton sum 3 at \(0, 0\) does not divide by 2$"):
+            hilbert_diamond(k3(), 5)
+
 
 class TestHilbertSeries:
     def test_every_entry_equals_the_reference(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgekit import bigraded
+from hodgekit import bigraded, hilbert
 from hodgekit import invariants as mod
 from hodgekit.bigraded import (
     EquivHodgeTable,
@@ -22,7 +22,12 @@ from hodgekit.bigraded import (
     tensor,
 )
 from hodgekit.group import SignedCycleType
-from hodgekit.hilbert import _log_term, euler_product_coefficients, hilbert_series
+from hodgekit.hilbert import (
+    _log_term,
+    euler_product_coefficients,
+    hilbert_diamond,
+    hilbert_series,
+)
 from hodgekit.invariants import (
     WHICH,
     IntegralityViolation,
@@ -172,6 +177,20 @@ class TestInvariantDims:
         with pytest.raises(IntegralityViolation, match="does not divide by"):
             invariant_dims(k3_enriques(), 2, "H")
 
+    def test_integrality_guard_trips_on_undecoded_newton_step(self, monkeypatch):
+        # the same corruption at n = 4: step 2 is checked on the packed
+        # integers and never decoded into a table, yet names the entry
+        honest = mod._adams
+
+        def corrupted(table, k):
+            psi = honest(table, k)
+            return psi + HodgeTable({(0, 0): 1}, 0) if k == 2 else psi
+
+        monkeypatch.setattr(mod, "_adams", corrupted)
+        with pytest.raises(IntegralityViolation,
+                           match=r"Newton sum 3 at \(0, 0\) does not divide by 2$"):
+            invariant_dims(k3_enriques(), 4, "H")
+
 
 class TestNewtonKernel:
     @pytest.mark.parametrize("surface", [
@@ -201,6 +220,38 @@ class TestNewtonKernel:
         xs = sym_powers(surface, 3)
         assert_same_series(xs, reference_newton(terms, 2))
         assert max(d.bit_length() for _, d in xs[3].items()) > 64
+
+    def test_slot_width_boundary(self):
+        # total(Sym^3) < 2^64 <= 3 * total(Sym^3): the step's sums need a
+        # second word although every coefficient fits in one
+        surface = HodgeTable({(0, 0): 1, (1, 1): 2 ** 22, (2, 2): 1}, 2)
+        terms = [_adams(surface, k) for k in range(1, 4)]
+        xs = sym_powers(surface, 3)
+        assert_same_series(xs, reference_newton(terms, 2))
+        assert xs[3].total_dim() < 2 ** 64 <= 3 * xs[3].total_dim()
+
+    @pytest.mark.parametrize("low, high", [(1, 2), (2 ** 64 + 3, 2)],
+                             ids=["one-word", "past-2^64"])
+    def test_mask_catches_what_the_whole_division_misses(self, low, high):
+        # step 3 sums to `low` at (1, 1) and `high` at (2, 0), adjacent slots,
+        # and low + high * 2^64 divides by 3 while `low` does not.  Past
+        # 2^64, slots one word wide would carry: the quotient would read 1
+        # and 1, under the mask; the n.bit_length() margin keeps them apart
+        terms = [HodgeTable({}, 1), HodgeTable({}, 2),
+                 HodgeTable({(1, 1): low, (2, 0): high}, 3)]
+        assert (low + (high << 64)) % 3 == 0
+        with pytest.raises(IntegralityViolation,
+                           match=rf"Newton sum {low} at \(1, 1\) does not divide by 3$"):
+            mod._newton(terms, 1, last_only=True)
+
+    def test_understated_bound_is_refused(self, monkeypatch):
+        # total dimensions that lie low set the bound to 2^1: step 1 divides
+        # by 1 everywhere, but its entry 2 reaches the bound and is refused
+        surface = HodgeTable({(0, 0): 1, (1, 1): 2, (2, 2): 1}, 2)
+        monkeypatch.setattr(HodgeTable, "total_dim", lambda table: 1)
+        with pytest.raises(IntegralityViolation,
+                           match=r"Newton step 1: a quotient slot reaches 2\^1"):
+            sym_product(surface, 1)
 
     def test_hilbert_series_past_64_bits_keeps_euler_numbers(self):
         series = hilbert_series(k3(), 40)
@@ -261,6 +312,58 @@ class TestNewtonKernel:
         assert built == [2 * m for m in range(1, 13)]
         assert validated == [2 * m for m in range(13)]
         assert_same_series(xs, expected)
+
+    @pytest.mark.parametrize("name, want", [
+        ("sym_powers", [2 * m for m in range(13)]),
+        ("hilbert_series", [2 * m for m in range(13)]),
+        ("sym_product", [24]),
+        ("hilbert_diamond", [24]),
+        ("invariant_dims", [24, 24]),
+    ], ids=["sym_powers", "hilbert_series", "sym_product", "hilbert_diamond",
+            "invariant_dims-H"])
+    def test_only_returned_coefficients_are_validated(self, name, want, monkeypatch):
+        # a work count, not a timing: the dimensions of the tables the kernel
+        # validates; a caller returning X_n alone gets no X_0..X_(n-1)
+        def series(terms_of, table):
+            return reference_newton([terms_of(table, j) for j in range(1, 13)],
+                                    table.dimension)
+
+        pair = k3_enriques()
+        call, expected = {
+            "sym_powers": (lambda: sym_powers(k3(), 12),
+                           lambda: series(_adams, k3())),
+            "hilbert_series": (lambda: hilbert_series(k3(), 12),
+                               lambda: series(_log_term, k3())),
+            "sym_product": (lambda: sym_product(k3(), 12),
+                            lambda: series(_adams, k3())[12]),
+            "hilbert_diamond": (lambda: hilbert_diamond(k3(), 12),
+                                lambda: series(_log_term, k3())[12]),
+            "invariant_dims": (lambda: invariant_dims(pair, 12, "H"),
+                               lambda: direct_sum(series(_adams, pair.plus_part())[12],
+                                                  series(_adams, pair.minus_part())[12])),
+        }[name]
+        validated, inside = [], []
+        honest_newton, honest_validate = mod._newton, bigraded._validated_entries
+
+        def counted_newton(*args):
+            inside.append(True)
+            try:
+                return honest_newton(*args)
+            finally:
+                inside.clear()
+
+        def counted_validate(entries, dimension):
+            if inside:
+                validated.append(dimension)
+            return honest_validate(entries, dimension)
+
+        monkeypatch.setattr(mod, "_newton", counted_newton)
+        monkeypatch.setattr(hilbert, "_newton", counted_newton)
+        monkeypatch.setattr(bigraded, "_validated_entries", counted_validate)
+        got = call()
+        assert validated == want
+        monkeypatch.undo()
+        assert got == expected()
 
     def test_odd_degrees_refused_before_any_product(self, monkeypatch):
         # the kernel's first work is the slot-width bound from the terms'
