@@ -16,7 +16,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .bigraded import (
     EquivHodgeTable,
@@ -52,8 +52,7 @@ DIAMOND_N_MAX = 40
 VERIFY_N_MAX = 20
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one audit check, with the provenance of its expectation."""
 
     check_id: str
@@ -260,12 +259,10 @@ def _csv(header, rows) -> str:
 
 def _render_results(results: list[CheckResult], fmt: str) -> str:
     if fmt == "json":
-        return json.dumps([asdict(r) for r in results], indent=2, sort_keys=True)
+        # every field is a str, so the shallow _asdict is a full copy
+        return json.dumps([r._asdict() for r in results], indent=2, sort_keys=True)
     if fmt == "csv":
-        return _csv(["check_id", "description", "expected", "provenance",
-                     "actual", "status"],
-                    ([r.check_id, r.description, r.expected, r.provenance,
-                      r.actual, r.status] for r in results))
+        return _csv(CheckResult._fields, results)
     return _render_table(results)
 
 

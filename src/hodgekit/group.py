@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .bigraded import IntegralityViolation
@@ -65,26 +66,9 @@ class GroupElement:
                       for j in range(self.n))
         return GroupElement(perm, twist)
 
-    def inverse(self) -> "GroupElement":
-        inv = [0] * self.n
-        for m, im in enumerate(self.perm):
-            inv[im] = m
-        return GroupElement(tuple(inv), tuple(self.twist[inv[j]] for j in range(self.n)))
-
     def twist_parity(self) -> int:
         """Total twist count mod 2; the homomorphism to Z/2 with kernel H."""
         return sum(self.twist) % 2
-
-    def act(self, x: tuple) -> tuple:
-        """Apply to a labeled tuple whose entries are (symbol, bit) pairs;
-        the twist toggles the bit, then slots are permuted."""
-        if len(x) != self.n:
-            raise ValueError("tuple length mismatch")
-        out = [None] * self.n
-        for m in range(self.n):
-            sym, bit = x[m]
-            out[self.perm[m]] = (sym, bit ^ self.twist[m])
-        return tuple(out)
 
 
 def transposition(n: int, i: int, j: int) -> GroupElement:
@@ -137,32 +121,21 @@ def _canonical(parts):
     return tuple(sorted(parts, key=lambda lt: (-lt[0], lt[1])))
 
 
-def _cycles(perm: tuple[int, ...]) -> list[list[int]]:
-    """The cycles of a permutation, each as the list of slots it visits."""
-    seen = [False] * len(perm)
+def _cycles(perm: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The cycles of a permutation as (length, bitmask of the slots it
+    visits)."""
+    seen = 0
     out = []
     for start in range(len(perm)):
-        if seen[start]:
+        if seen >> start & 1:
             continue
-        cycle, m = [], start
-        while not seen[m]:
-            seen[m] = True
-            cycle.append(m)
+        slots, m = 0, start
+        while not slots >> m & 1:
+            slots |= 1 << m
             m = perm[m]
-        out.append(cycle)
+        seen |= slots
+        out.append((slots.bit_count(), slots))
     return out
-
-
-def _raw_parts(cycles: list[list[int]], twist: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """(length, parity) of each cycle, in the order given, where the parity
-    is the XOR of the twists over the slots of that cycle."""
-    parts = []
-    for cycle in cycles:
-        parity = 0
-        for m in cycle:
-            parity ^= twist[m]
-        parts.append((len(cycle), parity))
-    return tuple(parts)
 
 
 def _check_work(n: int, which: str, labels: int | None = None) -> None:
@@ -184,6 +157,23 @@ def _check_work(n: int, which: str, labels: int | None = None) -> None:
             raise TooLarge(f"{what} at n = {n} exceed the work guard {WORK_GUARD}")
 
 
+def _elements(n: int, which: str) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every element of G, H or S_n as a (perm, mask) pair, in the order of
+    :func:`enumerate_group`: bit m of ``mask`` is set when slot m is
+    twisted.  Refused by :func:`_check_work` before anything is yielded.
+    """
+    if which not in WHICH:
+        raise ValueError(f"which must be one of {WHICH}, got {which!r}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    _check_work(n, which)
+    twists = [(0,) * n] if which == "Sn" else [
+        t for t in itertools.product((0, 1), repeat=n) if which == "G" or sum(t) % 2 == 0]
+    masks = [sum(t << m for m, t in enumerate(twist)) for twist in twists]
+    return ((perm, mask) for perm in itertools.permutations(range(n))
+            for mask in masks)
+
+
 def enumerate_group(n: int, which: str) -> list[GroupElement]:
     """All elements of G, H or S_n, in a fixed deterministic order.
 
@@ -192,35 +182,32 @@ def enumerate_group(n: int, which: str) -> list[GroupElement]:
     counts grow like 2^n * n!.  Use :func:`classes` for anything
     size-related beyond the guard.
     """
-    if which not in WHICH:
-        raise ValueError(f"which must be one of {WHICH}, got {which!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_work(n, which)
-    if which == "Sn":
-        twists = [(0,) * n]
-    else:
-        twists = [t for t in itertools.product((0, 1), repeat=n)
-                  if which == "G" or sum(t) % 2 == 0]
-    return [GroupElement(perm, twist)
-            for perm in itertools.permutations(range(n)) for twist in twists]
+    return [GroupElement(perm, tuple(mask >> m & 1 for m in range(n)))
+            for perm, mask in _elements(n, which)]
 
 
 def element_census(n: int, which: str) -> list[tuple[SignedCycleType, int]]:
     """Signed cycle types of the elements of :func:`enumerate_group`, each
     with how many elements have it, ordered as :func:`classes`.
 
-    Every element is visited; the cycles of each permutation are found once
-    and shared by the elements over it.
+    Every element is visited and tallied; the cycles of each permutation are
+    found once, and a cycle's parity is that of the twisted slots on it.
+    Tallying other than the group's order raises IntegralityViolation.
     """
-    cycles_by_perm: dict[tuple[int, ...], list[list[int]]] = {}
     raw: dict[tuple[tuple[int, int], ...], int] = {}
-    for g in enumerate_group(n, which):
-        cycles = cycles_by_perm.get(g.perm)
-        if cycles is None:
-            cycles = cycles_by_perm[g.perm] = _cycles(g.perm)
-        parts = _raw_parts(cycles, g.twist)
+    visited = 0
+    last = cycles = None
+    for perm, mask in _elements(n, which):
+        if perm != last:
+            last, cycles = perm, _cycles(perm)
+        parts = tuple([(length, (mask & slots).bit_count() & 1)
+                       for length, slots in cycles])
         raw[parts] = raw.get(parts, 0) + 1
+        visited += 1
+    if visited != group_order(n, which):
+        raise IntegralityViolation(
+            f"{visited} elements tallied for {which} at n = {n}, "
+            f"not its order {group_order(n, which)}")
     tally: dict[tuple[tuple[int, int], ...], int] = {}
     for parts, count in raw.items():
         key = _canonical(parts)

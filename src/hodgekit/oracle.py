@@ -5,21 +5,22 @@ elements as signed permutations of basis labels, and reads invariant
 dimensions off the averaging projector: per bidegree, the average over the
 group of the signed count of fixed labels.  A label's kind, the (p, q,
 eigen) of each of its slots, fixes its bidegree and its sign under every
-twist.  G is enumerated once per n.  Each permutation's scan tests every
-label of the explicit basis and counts the fixed ones per kind; every element
-then signs its own counts into each group containing it (G always, H when it
-twists an even number of slots, Sn when it twists none).  Deliberately shares
-no code with the symmetric-power production route or the class-sum audit
-route.
+twist.  G is enumerated once per n, every element as a permutation and a
+twist bitmask.  A permutation fixes no label of a kind that differs from
+itself at a moved slot; every label of every other kind is compared
+explicitly, and the fixed ones are counted per kind.  Every element then
+signs its counts into each group containing it (G always, H for an even
+twist count, Sn for none) by the parity of its twisted slots in the kind's
+-1 eigenspace.  Deliberately shares no code with the symmetric-power
+production route or the class-sum audit route.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 from .bigraded import EquivHodgeTable, HodgeTable, IntegralityViolation
-from .group import WHICH, GroupElement, _check_work, enumerate_group, group_order
+from .group import WHICH, _check_work, _elements, group_order
 
 #: A slot label is (p, q, eigen, index): bidegree, eigen-sign (+1/-1) under
 #: the involution, and position inside that eigenspace.  A basis label of
@@ -42,9 +43,8 @@ def _slot_basis(table: EquivHodgeTable) -> list[SlotLabel]:
 def _keyed_basis(table: EquivHodgeTable, n: int) -> list[tuple[_Kind, list[Label]]]:
     """The basis labels of the n-th tensor power grouped by kind, one entry
     per kind."""
-    single = _slot_basis(table)
     by_kind: dict[tuple[int, int, int], list[SlotLabel]] = {}
-    for slot in single:
+    for slot in _slot_basis(table):
         by_kind.setdefault(slot[:3], []).append(slot)
     return [(kind, list(itertools.product(*(by_kind[s] for s in kind))))
             for kind in itertools.product(by_kind, repeat=n)]
@@ -56,11 +56,18 @@ def _fixed_counts(perm: tuple[int, ...],
 
     Slot m moves to perm[m], so a label is fixed exactly when it agrees with
     itself at perm[m] in every slot; a twist only sets the sign, and a slot
-    the permutation keeps in place always agrees.
+    the permutation keeps in place always agrees.  A slot label starts with
+    its slot's kind, so a kind that differs from itself at a moved slot has
+    no fixed label, and only the labels of the other kinds are compared.
+    The identity moves no slot and fixes every label without a comparison.
     """
     moves = [(m, target) for m, target in enumerate(perm) if m != target]
+    if not moves:
+        return {kind: len(labels) for kind, labels in basis}
     counts: dict[_Kind, int] = {}
     for kind, labels in basis:
+        if any(kind[target] != kind[m] for m, target in moves):
+            continue
         fixed = 0
         for label in labels:
             for m, target in moves:
@@ -73,14 +80,21 @@ def _fixed_counts(perm: tuple[int, ...],
     return counts
 
 
-def _add_signed_counts(g: GroupElement, counts: dict[_Kind, int],
+def _minus_masks(basis: list[tuple[_Kind, list[Label]]]) -> dict[_Kind, int]:
+    """Per kind, the bitmask of its slots in the -1 eigenspace."""
+    return {kind: sum(1 << m for m, (_, _, eigen) in enumerate(kind) if eigen < 0)
+            for kind, _ in basis}
+
+
+def _add_signed_counts(mask: int, counts: dict[_Kind, int], minus: dict[_Kind, int],
                        sums: dict[_Kind, int]) -> None:
-    """Add g's signed count of its fixed labels, per kind, into sums.  A
-    kind's sign is the product of its eigen-signs in g's twisted slots."""
-    twisted = [m for m, t in enumerate(g.twist) if t]
+    """Add the signed count of an element's fixed labels, per kind, into
+    sums.  ``mask`` holds the element's twisted slots; a kind's sign is -1
+    when an odd number of them lie in its -1 eigenspace."""
     for kind, count in counts.items():
-        sign = math.prod(kind[m][2] for m in twisted)
-        sums[kind] = sums.get(kind, 0) + count * sign
+        if (mask & minus[kind]).bit_count() & 1:
+            count = -count
+        sums[kind] = sums.get(kind, 0) + count
 
 
 def _by_degree(sums: dict[_Kind, int]) -> dict[tuple[int, int], int]:
@@ -92,10 +106,11 @@ def _by_degree(sums: dict[_Kind, int]) -> dict[tuple[int, int], int]:
     return out
 
 
-def _groups_containing(g: GroupElement) -> list[str]:
-    """The groups of WHICH that g belongs to: G always, H when g twists an
-    even number of slots, Sn when it twists none."""
-    twists = sum(g.twist)
+def _groups_containing(mask: int) -> list[str]:
+    """The groups of WHICH that an element with twist bitmask ``mask``
+    belongs to: G always, H when it twists an even number of slots, Sn when
+    it twists none."""
+    twists = mask.bit_count()
     return [which for which, member in (("Sn", twists == 0), ("G", True),
                                         ("H", twists % 2 == 0)) if member]
 
@@ -115,21 +130,21 @@ def projector_tables(table: EquivHodgeTable, n: int) -> dict[str, HodgeTable]:
         raise ValueError("n must be >= 1")
     _check_work(n, "G", table.total_dim())
     basis = _keyed_basis(table, n)
+    minus = _minus_masks(basis)
     counts_by_perm: dict[tuple[int, ...], dict[_Kind, int]] = {}
     sums: dict[str, dict[_Kind, int]] = {which: {} for which in WHICH}
     credited = dict.fromkeys(WHICH, 0)
-    for g in enumerate_group(n, "G"):
-        if g.perm not in counts_by_perm:
-            counts_by_perm[g.perm] = _fixed_counts(g.perm, basis)
-        for which in _groups_containing(g):
-            _add_signed_counts(g, counts_by_perm[g.perm], sums[which])
+    for perm, mask in _elements(n, "G"):
+        if perm not in counts_by_perm:
+            counts_by_perm[perm] = _fixed_counts(perm, basis)
+        for which in _groups_containing(mask):
+            _add_signed_counts(mask, counts_by_perm[perm], minus, sums[which])
             credited[which] += 1
     for which, count in credited.items():
         if count != group_order(n, which):
             raise IntegralityViolation(
                 f"{count} elements credited to {which} at n = {n}, "
-                f"not its order {group_order(n, which)}"
-            )
+                f"not its order {group_order(n, which)}")
     tables = {}
     for which, count in credited.items():
         entries = {}
@@ -137,8 +152,7 @@ def projector_tables(table: EquivHodgeTable, n: int) -> dict[str, HodgeTable]:
             dim, rem = divmod(value, count)
             if rem != 0 or dim < 0:
                 raise IntegralityViolation(
-                    f"projector sum {value} at {pq} does not divide by {count}"
-                )
+                    f"projector sum {value} at {pq} does not divide by {count}")
             if dim:
                 entries[pq] = dim
         tables[which] = HodgeTable(entries, n * table.dimension)

@@ -29,6 +29,25 @@ from hodgekit.group import (
 from conftest import identity, signed_cycle_type
 
 
+def inverse(g):
+    """The inverse of a signed permutation."""
+    inv = [0] * g.n
+    for m, im in enumerate(g.perm):
+        inv[im] = m
+    return GroupElement(tuple(inv), tuple(g.twist[inv[j]] for j in range(g.n)))
+
+
+def act(g, x):
+    """Apply g to a labeled tuple whose entries are (symbol, bit) pairs: the
+    twist toggles the bit, then slots are permuted."""
+    assert len(x) == g.n
+    out = [None] * g.n
+    for m in range(g.n):
+        sym, bit = x[m]
+        out[g.perm[m]] = (sym, bit ^ g.twist[m])
+    return tuple(out)
+
+
 @st.composite
 def elements(draw, n):
     perm = tuple(draw(st.permutations(range(n))))
@@ -101,6 +120,30 @@ class TestEnumeration:
         with pytest.raises(TooLarge, match=f"{which} at n = 1000000"):
             enumerate_group(10 ** 6, which)
 
+    @pytest.mark.parametrize("which", WHICH)
+    def test_elements_are_the_enumeration(self, which):
+        # the validated view and the raw (perm, twist bitmask) pairs agree
+        # element for element, in order
+        for n in range(1, 6):
+            pairs = list(group._elements(n, which))
+            assert len(pairs) == group_order(n, which)
+            assert enumerate_group(n, which) == [
+                GroupElement(perm, tuple((mask >> m) & 1 for m in range(n)))
+                for perm, mask in pairs]
+
+    @pytest.mark.parametrize("which", WHICH)
+    def test_elements_refused_before_any_pair(self, which, monkeypatch):
+        # the work guard trips at the call, before a permutation is generated
+        import itertools
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("elements generated past the work guard")
+
+        monkeypatch.setattr(itertools, "permutations", refuse)
+        n = 10 if which == "Sn" else 8
+        with pytest.raises(TooLarge, match=f"the elements of {which} at n = {n} "):
+            group._elements(n, which)
+
     def test_sn_at_n8_within_order_bound(self):
         assert len(enumerate_group(8, "Sn")) == math.factorial(8)
 
@@ -117,7 +160,7 @@ class TestCompositionLaw:
         a = data.draw(elements(n))
         b = data.draw(elements(n))
         x = tuple((sym, data.draw(st.integers(0, 1))) for sym in range(n))
-        assert (a * b).act(x) == a.act(b.act(x))
+        assert act(a * b, x) == act(a, act(b, x))
 
     @given(st.data())
     @settings(max_examples=40)
@@ -125,8 +168,8 @@ class TestCompositionLaw:
         n = data.draw(st.integers(1, 5))
         a, b, c = (data.draw(elements(n)) for _ in range(3))
         assert (a * b) * c == a * (b * c)
-        assert a * a.inverse() == identity(n)
-        assert a.inverse() * a == identity(n)
+        assert a * inverse(a) == identity(n)
+        assert inverse(a) * a == identity(n)
 
     @given(st.data())
     @settings(max_examples=40)
@@ -164,7 +207,7 @@ class TestSignedCycleType:
         els = enumerate_group(3, "G")
         for _ in range(50):
             g, u = rng.choice(els), rng.choice(els)
-            conj = u * g * u.inverse()
+            conj = u * g * inverse(u)
             assert signed_cycle_type(conj) == signed_cycle_type(g)
 
 
@@ -209,6 +252,21 @@ class TestClasses:
                 grouped = sorted(census.items(), key=lambda kv: kv[0].parts)
                 assert grouped == classes(n, which)
                 assert element_census(n, which) == grouped
+
+    @pytest.mark.parametrize("which", WHICH)
+    def test_census_refuses_a_short_tally(self, which, monkeypatch):
+        # an enumeration that drops one element must not yield a census
+        elements_ = group._elements
+
+        def drop_last(n, which):
+            return list(elements_(n, which))[:-1]
+
+        monkeypatch.setattr(group, "_elements", drop_last)
+        order = group_order(4, which)
+        with pytest.raises(IntegralityViolation,
+                           match=f"{order - 1} elements tallied for {which} at n = 4, "
+                                 f"not its order {order}"):
+            element_census(4, which)
 
     def test_sizes_match_closed_form(self):
         # the recursion's centralizer orders against the factorial formula

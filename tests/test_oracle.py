@@ -7,11 +7,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from hodgekit import group, oracle
+from hodgekit import cli, group, oracle
 from hodgekit.bigraded import EquivHodgeTable, IntegralityViolation, k3_enriques
 from hodgekit.group import (
     WHICH,
     WORK_GUARD,
+    GroupElement,
     TooLarge,
     enumerate_group,
     group_order,
@@ -105,7 +106,7 @@ class TestBasis:
         def refuse(*args):
             raise AssertionError("group enumerated past the work guard")
 
-        monkeypatch.setattr(oracle, "enumerate_group", refuse)
+        monkeypatch.setattr(oracle, "_elements", refuse)
         with pytest.raises(TooLarge, match=f"1 labels per slot x the elements of G "
                                            f"at n = 8 exceed the work guard {WORK_GUARD}"):
             projector_tables(EquivHodgeTable({(0, 0): (1, 0)}, 0), 8)
@@ -261,12 +262,15 @@ class TestProjector:
         # scan per permutation, and each group credited with its own elements
         table, n = k3_enriques(), 3
         enumerated, built, scanned, credited = [], [], [], {w: [] for w in WHICH}
-        enumerate_, keyed_basis = oracle.enumerate_group, oracle._keyed_basis
+        current = []
+        elements_, keyed_basis = oracle._elements, oracle._keyed_basis
         fixed_counts, groups_containing = oracle._fixed_counts, oracle._groups_containing
 
-        def enumerate_counted(n, which):
+        def elements_counted(n, which):
             enumerated.append(which)
-            return enumerate_(n, which)
+            for pair in elements_(n, which):
+                current[:] = [pair]
+                yield pair
 
         def keyed_counted(table, n):
             built.append(n)
@@ -276,13 +280,19 @@ class TestProjector:
             scanned.append((perm, sum(len(labels) for _, labels in basis)))
             return fixed_counts(perm, basis)
 
-        def groups(g):
-            out = groups_containing(g)
+        def groups(mask):
+            # membership is asked once per element, of the element just
+            # enumerated, by its twist bitmask alone
+            (perm, current_mask), = current
+            assert mask == current_mask
+            current.clear()
+            out = groups_containing(mask)
             for w in out:
-                credited[w].append(g)
+                credited[w].append(GroupElement(
+                    perm, tuple((mask >> m) & 1 for m in range(n))))
             return out
 
-        monkeypatch.setattr(oracle, "enumerate_group", enumerate_counted)
+        monkeypatch.setattr(oracle, "_elements", elements_counted)
         monkeypatch.setattr(oracle, "_keyed_basis", keyed_counted)
         monkeypatch.setattr(oracle, "_fixed_counts", scan)
         monkeypatch.setattr(oracle, "_groups_containing", groups)
@@ -300,10 +310,10 @@ class TestProjector:
         groups_containing = oracle._groups_containing
         leaked = []
 
-        def leaky(g):
-            out = groups_containing(g)
-            if sum(g.twist) % 2 and not leaked:
-                leaked.append(g)
+        def leaky(mask):
+            out = groups_containing(mask)
+            if mask.bit_count() % 2 and not leaked:
+                leaked.append(mask)
                 out = [*out, "H"]
             return out
 
@@ -313,6 +323,69 @@ class TestProjector:
                            match=f"{order + 1} elements credited to H at n = 3"):
             projector_tables(k3_enriques(), 3)
         assert len(leaked) == 1
+
+    def test_groups_containing_reads_the_twist_count(self):
+        for n in (1, 2, 3):
+            for g in enumerate_group(n, "G"):
+                mask = sum(t << m for m, t in enumerate(g.twist))
+                expected = {"G"}
+                if sum(g.twist) == 0:
+                    expected.add("Sn")
+                if sum(g.twist) % 2 == 0:
+                    expected.add("H")
+                assert set(oracle._groups_containing(mask)) == expected
+
+
+def reference_fixed_counts(perm, basis):
+    """Label-by-label fixed counts per kind, with no kind-level test: every
+    label of every kind is compared at every moved slot."""
+    moves = [(m, target) for m, target in enumerate(perm) if m != target]
+    counts = {}
+    for kind, labels in basis:
+        fixed = 0
+        for label in labels:
+            for m, target in moves:
+                if label[target] != label[m]:
+                    break
+            else:
+                fixed += 1
+        if fixed:
+            counts[kind] = fixed
+    return counts
+
+
+class TestKindLevelScan:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_label_by_label_scan(self, n):
+        for table in [k3_enriques(), *seeded_equiv_tables(8)]:
+            basis = oracle._keyed_basis(table, n)
+            for perm in itertools.permutations(range(n)):
+                assert oracle._fixed_counts(perm, basis) == reference_fixed_counts(perm, basis)
+
+    def test_minus_masks_mark_the_anti_invariant_slots(self):
+        for kind, _ in oracle._keyed_basis(k3_enriques(), 3):
+            mask = oracle._minus_masks([(kind, [])])[kind]
+            assert [(mask >> m) & 1 for m in range(3)] == [
+                int(eigen == -1) for _, _, eigen in kind]
+
+    def test_flipped_sign_bit_is_caught(self, monkeypatch):
+        # negative control: one kind's sign flipped under a twist makes the
+        # oracle disagree with the engine, and check 090 fail
+        minus_masks = oracle._minus_masks
+        flipped = ((1, 1, -1),)
+
+        def corrupted(basis):
+            masks = minus_masks(basis)
+            if flipped in masks:
+                masks[flipped] ^= 1
+            return masks
+
+        monkeypatch.setattr(oracle, "_minus_masks", corrupted)
+        table = k3_enriques()
+        assert projector_tables(table, 1)["G"] != invariant_dims(table, 1, "G")
+        status = {r.check_id: r.status for r in cli.run_paper_checks(3)}
+        assert status["090-oracle-equiv-n1"] == "fail"
+        assert status["090-oracle-equiv-n2"] == status["090-oracle-equiv-n3"] == "pass"
 
 
 def test_oracle_imports_only_bigraded_and_group():
