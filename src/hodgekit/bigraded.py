@@ -53,18 +53,6 @@ def _validated_entries(entries, dimension):
     return clean
 
 
-def _first_failure(table, rules=("Hodge symmetry", "Serre duality")):
-    """(rule, (p, q), (s, t)) for the first sorted entry unequal to its mirror,
-    (q, p) under Hodge symmetry or (n-p, n-q) under Serre duality; else None."""
-    n = table.dimension
-    for (p, q), d in table.items():
-        for rule in rules:
-            s, t = (q, p) if rule == "Hodge symmetry" else (n - p, n - q)
-            if table[s, t] != d:
-                return rule, (p, q), (s, t)
-    return None
-
-
 def _require_surface(table, prefix="", where="") -> None:
     """Raise ValueError, naming the first failing entry, unless the table is
     one a compact complex manifold of its dimension n can have: p, q <= n,
@@ -74,11 +62,11 @@ def _require_surface(table, prefix="", where="") -> None:
     for p, q in table.support():
         if p > n or q > n:
             raise ValueError(f"{prefix}entry at ({p}, {q}) exceeds dimension {n}")
-    failure = _first_failure(table)
-    if failure:
-        rule, (p, q), (s, t) = failure
-        raise ValueError(f"{prefix}{rule} fails{where}: "
-                         f"h^({p},{q}) = {table[p, q]} but h^({s},{t}) = {table[s, t]}")
+    for (p, q), d in table.items():
+        for rule, s, t in (("Hodge symmetry", q, p), ("Serre duality", n - p, n - q)):
+            if table[s, t] != d:
+                raise ValueError(f"{prefix}{rule} fails{where}: "
+                                 f"h^({p},{q}) = {d} but h^({s},{t}) = {table[s, t]}")
 
 
 def _reject_odd(bidegrees) -> None:
@@ -139,18 +127,6 @@ class HodgeTable:
     def euler(self) -> int:
         """Topological Euler characteristic, sum of (-1)^k b_k."""
         return sum((-1) ** (p + q) * d for (p, q), d in self._entries.items())
-
-    def is_symmetric(self) -> bool:
-        """Conjugation symmetry: h^{p,q} = h^{q,p}."""
-        return _first_failure(self, ("Hodge symmetry",)) is None
-
-    def satisfies_duality(self) -> bool:
-        """Poincare duality against the declared dimension:
-        h^{p,q} = h^{n-p,n-q} with n the complex dimension."""
-        return _first_failure(self, ("Serre duality",)) is None
-
-    def __add__(self, other: "HodgeTable") -> "HodgeTable":
-        return direct_sum(self, other)
 
 
 class EquivHodgeTable:
@@ -224,20 +200,6 @@ def direct_sum(a: HodgeTable, b: HodgeTable) -> HodgeTable:
     return HodgeTable(entries, max(a.dimension, b.dimension))
 
 
-def _sum_of_products(pairs) -> dict[tuple[int, int], int]:
-    """Raw {(p, q): coefficient} of the sum of the Kunneth products a * b
-    over the (a, b) pairs, one multiply-add per pair of table entries (the
-    Newton recurrence packs its tables instead).  Callers reject odd degrees
-    and build the validated table."""
-    entries: dict[tuple[int, int], int] = {}
-    for a, b in pairs:
-        for (s, t), d in a._entries.items():
-            for (u, v), e in b._entries.items():
-                key = (s + u, t + v)
-                entries[key] = entries.get(key, 0) + d * e
-    return entries
-
-
 def tensor(a: HodgeTable, b: HodgeTable) -> HodgeTable:
     """Kunneth product: result(p,q) = sum over s+u=p, t+v=q of a(s,t)*b(u,v).
 
@@ -245,7 +207,12 @@ def tensor(a: HodgeTable, b: HodgeTable) -> HodgeTable:
     """
     _reject_odd(a._entries)
     _reject_odd(b._entries)
-    return HodgeTable(_sum_of_products([(a, b)]), a.dimension + b.dimension)
+    entries: dict[tuple[int, int], int] = {}
+    for (s, t), d in a._entries.items():
+        for (u, v), e in b._entries.items():
+            key = (s + u, t + v)
+            entries[key] = entries.get(key, 0) + d * e
+    return HodgeTable(entries, a.dimension + b.dimension)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 Exit codes: 0 success, 1 at least one audit check failed, 2 usage or parse
 error (including ``hilb`` or ``cover`` of a table that is not a surface),
 3 unsupported input: odd-degree cohomology, a ``diamond`` request with n
-above :data:`DIAMOND_N_MAX` or a ``verify-paper`` request with ``--n-max``
-above :data:`VERIFY_N_MAX`, rejected before any work.  A check whose computed
-value is internally consistent but disagrees with a published figure is
-reported as ``discrepancy-noted`` and does not fail the run.
+above :data:`DIAMOND_N_MAX` or whose diamond's complex dimension exceeds
+:data:`DIAMOND_DIMENSION_MAX`, or a ``verify-paper`` request with
+``--n-max`` above :data:`VERIFY_N_MAX`, rejected before any work.  A check
+whose computed value is internally consistent but disagrees with a
+published figure is reported as ``discrepancy-noted`` and does not fail the
+run.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ NOTED = "discrepancy-noted"
 
 #: Largest n the diamond command accepts; n = 40 takes under a second.
 DIAMOND_N_MAX = 40
+
+#: Largest complex dimension of a diamond the diamond command builds (a
+#: threefold's at the largest n); the printed rows grow with its square.
+DIAMOND_DIMENSION_MAX = 3 * DIAMOND_N_MAX
 
 #: Largest --n-max verify-paper accepts; 20 takes a few seconds.
 VERIFY_N_MAX = 20
@@ -294,6 +300,10 @@ def cmd_diamond(args) -> int:
     if args.op in ("hilb", "cover") and table.dimension != 2:
         raise ValueError(f"{args.op} needs a surface (dimension 2), but {name} "
                          f"has dimension {table.dimension}")
+    size = {"hilb": 2 * n, "cover": 4}.get(args.op, n * table.dimension)
+    if size > DIAMOND_DIMENSION_MAX:
+        raise TooLarge(f"{args.op} {n} of {name} has complex dimension {size}, "
+                       f"above the diamond bound {DIAMOND_DIMENSION_MAX}")
     if args.op == "hilb":
         result = hilbert_diamond(table.forget(), n)
         title = f"hilb {n} of {name}"

@@ -2,8 +2,11 @@
 
 Goettsche's product (Math. Ann. 286, 1990) holds every diamond up to a bound:
 H(t) = sum_n h(Hilb^n S) t^n = prod_{k>=1} sum_{a>=0} Sym^a(S) (uv)^((k-1)a) t^(ka),
-where (uv)^j shifts a diamond diagonally by j.  Taking t d/dt log H(t) gives
-Newton's recurrence n * H_n = sum_{j=1..n} Q_j * H_(n-j) for the whole series at once.
+where (uv)^j shifts a diamond diagonally by j.  H(t) is the plethystic
+exponential of sum_k S (uv)^(k-1) t^k, so t d/dt log H(t) gives Newton's
+recurrence n * H_n = sum_{j=1..n} Q_j * H_(n-j) for the whole series at once,
+with Q_j = sum_{r | j} (j/r) (uv)^(j-r) psi^r(S) built from those seeds by the
+same term builder as symmetric powers.
 The Euler product prod_m (1 - q^m)^(-e) audits its Euler numbers independently.
 """
 
@@ -11,16 +14,8 @@ from __future__ import annotations
 
 import math
 
-from .bigraded import HodgeTable, _require_surface, _sum_of_products
-from .invariants import _adams, _newton
-
-
-def _log_term(surface: HodgeTable, j: int) -> HodgeTable:
-    """Q_j = sum_{r | j} (j/r) (uv)^(j-r) psi^r(S): the t^j coefficient of
-    t d/dt log H(t), as one multiply-add pass and one table."""
-    return HodgeTable(_sum_of_products((HodgeTable({(j - r, j - r): j // r}, j - r),
-                                        _adams(surface, r))
-                                       for r in range(1, j + 1) if j % r == 0), 2 * j)
+from .bigraded import HodgeTable, _require_surface
+from .invariants import _newton, _power_terms
 
 
 def _goettsche(surface: HodgeTable, n_max: int, last_only: bool) -> list[HodgeTable]:
@@ -30,8 +25,8 @@ def _goettsche(surface: HodgeTable, n_max: int, last_only: bool) -> list[HodgeTa
     _require_surface(surface, "Hilbert schemes need a surface: ")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return _newton([_log_term(surface, j) for j in range(1, n_max + 1)],
-                   surface.dimension, last_only)
+    seeds = ({(p + k, q + k): c for (p, q), c in surface.items()} for k in range(n_max))
+    return _newton(_power_terms(seeds, n_max), surface.dimension, last_only)
 
 
 def hilbert_series(surface: HodgeTable, n_max: int) -> list[HodgeTable]:

@@ -9,10 +9,13 @@ symmetric powers,
 since H is the kernel of the twist-parity character.  :func:`sym_powers`
 computes Sym^0..Sym^n of a table at once by Newton's power-sum recurrence
 m * Sym^m = sum_k psi^k(V) * Sym^(m-k), where psi^k multiplies every
-bidegree by k; each coefficient is packed into one integer, so a step adds
-shifted multiples of integers and one exact test on them checks every
-division by m.  Callers that return Sym^n alone decode only Sym^n.  This
-yields quotient cohomology and symmetric products.
+bidegree by k.  Its terms, and those of Goettsche's recurrence in
+:mod:`.hilbert`, come from one builder of plain dicts: both are
+t d/dt log of a plethystic exponential, differing only in its seeds.  The
+kernel packs each coefficient into one integer, so a step adds shifted
+multiples of integers and one exact test on them checks every division by
+m.  Callers that return Sym^n alone decode only Sym^n.  This yields
+quotient cohomology and symmetric products.
 
 Audit route, sharing no arithmetic with production: :func:`class_sum_dims`
 averages graded traces over the group.  The trace of an element depends
@@ -62,24 +65,33 @@ def class_trace(ct: SignedCycleType,
     return result
 
 
-def _adams(table: HodgeTable, k: int) -> HodgeTable:
-    """psi^k: the entry at (p, q) moves to (k*p, k*q)."""
-    return HodgeTable({(k * p, k * q): d for (p, q), d in table.items()},
-                      k * table.dimension)
+def _power_terms(seeds, n: int) -> list[dict[tuple[int, int], int]]:
+    """T_1..T_n, the Newton terms of t d/dt log PE[sum_k a_k t^k] for the
+    seeds a_1, a_2, ... (anything whose items() are ((p, q), c) pairs):
+    T_j = sum over k * r = j of k * psi^r(a_k), where psi^r moves (p, q) to
+    (r*p, r*q).  Plain {(p, q): c} dicts, read by :func:`_newton` only."""
+    terms: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+    for k, seed in enumerate(seeds, 1):
+        for r in range(1, n // k + 1):
+            term = terms[k * r - 1]
+            for (p, q), c in seed.items():
+                term[r * p, r * q] = term.get((r * p, r * q), 0) + k * c
+    return terms
 
 
-def _newton(terms: list[HodgeTable], dimension: int,
+def _newton(terms: list[dict[tuple[int, int], int]], dimension: int,
             last_only: bool = False) -> list[HodgeTable]:
     """X_0..X_len(terms), or [X_n] alone when last_only, from
-    m * X_m = sum_{j=1..m} terms[j-1] * X_(m-j), with X_0 the point and X_m of
-    dimension m * dimension.  Odd degrees are rejected once, before any
-    product: every X_m's support is a sum of term supports.  Each X_m is one
-    integer (Kronecker substitution): (p, q) of weight d = (p+q)/2 and level
-    e = (p-q)/2 sits in slot d*W + e + R, R bounding |e| over the series and
-    W = 2R + 1, stored shifted down past its empty low slots.  The recurrence
-    run on total dimensions bounds every coefficient of every X_m below
-    2^top; a slot is top + n.bit_length() bits rounded up to whole 64-bit
-    words, so with no negative entries no slot of m * X_m carries.
+    m * X_m = sum_{j=1..m} terms[j-1] * X_(m-j), with X_0 the point, X_m of
+    dimension m * dimension and each term a {(p, q): c} dict, c >= 0.  Odd
+    degrees are rejected once, before any product: every X_m's support is a
+    sum of term supports.  Each X_m is one integer (Kronecker substitution):
+    (p, q) of weight d = (p+q)/2 and level e = (p-q)/2 sits in slot
+    d*W + e + R, R bounding |e| over the series and W = 2R + 1, stored
+    shifted down past its empty low slots.  The recurrence run on total
+    dimensions bounds every coefficient of every X_m below 2^top; a slot is
+    top + n.bit_length() bits rounded up to whole 64-bit words, so with no
+    negative entries no slot of m * X_m carries.
 
     A step adds shifted small multiples into acc and keeps quo = acc // m
     packed.  It is accepted by one test on the two integers: acc % m == 0 and
@@ -88,18 +100,18 @@ def _newton(terms: list[HodgeTable], dimension: int,
     hides a remainder.  A failed test decodes acc and raises
     IntegralityViolation naming the first slot that m does not divide.  Only
     the returned coefficients are decoded into validated tables."""
-    _reject_odd(pq for term in terms for pq in term._entries)
-    n, dims, totals = len(terms), [t.total_dim() for t in terms], [1]
+    _reject_odd(pq for term in terms for pq in term)
+    n, dims, totals = len(terms), [sum(t.values()) for t in terms], [1]
     for m in range(1, n + 1):
         totals.append(sum(d * x for d, x in zip(dims, reversed(totals))) // m)
     top = max(totals).bit_length()
     words = -(-(top + n.bit_length()) // 64)
     bits, size = 64 * words, 8 * words
     reach = max((abs(p - q) // 2 * n // j for j, t in enumerate(terms, 1)
-                 for p, q in t._entries), default=0)
+                 for p, q in t), default=0)
     width = 2 * reach + 1
     shifts = [sorted((((p + q) // 2 * width + (p - q) // 2) * bits, c)
-                     for (p, q), c in t._entries.items()) for t in terms]
+                     for (p, q), c in t.items()) for t in terms]
     # X_n reaches no slot past R + n * max_j (top slot of terms[j-1]) / j
     span = max((term[-1][0] // bits * n // j for j, term in enumerate(shifts, 1)
                 if term), default=0) + reach + 1
@@ -138,8 +150,7 @@ def _newton(terms: list[HodgeTable], dimension: int,
 def _symmetric(surface: HodgeTable, n: int, last_only: bool) -> list[HodgeTable]:
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _newton([_adams(surface, k) for k in range(1, n + 1)],
-                   surface.dimension, last_only)
+    return _newton(_power_terms([surface], n), surface.dimension, last_only)
 
 
 def sym_powers(surface: HodgeTable, n: int) -> list[HodgeTable]:

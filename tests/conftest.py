@@ -66,6 +66,32 @@ def seeded_equiv_tables(count, seed=20240801, max_degree=3, max_dim=3):
     return tables
 
 
+def is_symmetric(table):
+    """Hodge symmetry: h^{p,q} = h^{q,p} at every entry."""
+    return all(table[q, p] == d for (p, q), d in table.items())
+
+
+def satisfies_duality(table):
+    """Serre duality against the declared complex dimension n:
+    h^{p,q} = h^{n-p,n-q} at every entry."""
+    n = table.dimension
+    return all(table[n - p, n - q] == d for (p, q), d in table.items())
+
+
+def corrupt_second_term(monkeypatch, module):
+    """Make ``module``'s Newton term builder add one class at (0, 0) to T_2,
+    so 2 * X_2 there is off by one from an honest sum."""
+    honest = module._power_terms
+
+    def corrupted(seeds, n):
+        terms = honest(seeds, n)
+        if n >= 2:
+            terms[1][0, 0] = terms[1].get((0, 0), 0) + 1
+        return terms
+
+    monkeypatch.setattr(module, "_power_terms", corrupted)
+
+
 def identity(n):
     """The identity of the signed-permutation group on n slots."""
     return GroupElement(tuple(range(n)), (0,) * n)

@@ -20,7 +20,7 @@ from hodgekit.bigraded import (
     tensor,
 )
 
-from conftest import hodge_tables
+from conftest import hodge_tables, is_symmetric
 
 
 class TestPresets:
@@ -48,7 +48,7 @@ class TestPresets:
 
     def test_presets_are_geometric(self):
         for name in ("k3_enriques", "enriques", "k3"):
-            assert preset(name).forget().is_symmetric()
+            assert is_symmetric(preset(name).forget())
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hodgekit
-from hodgekit import cli, cover
+from hodgekit import cli, cover, invariants
 from hodgekit.cli import main, run_paper_checks
 
 
@@ -136,6 +136,37 @@ class TestSurfaceSpecInput:
         assert code == 2 and out == ""
         assert f"{op} needs a surface" in err
         assert "not-a-surface" in err and f"dimension {dimension}" in err
+
+    @pytest.mark.parametrize("argv", [("sym", "1"), ("quotient", "1", "H")],
+                             ids=["sym", "quotient"])
+    def test_huge_dimension_exits_3_before_any_work(self, capsys, tmp_path,
+                                                    monkeypatch, argv):
+        # a spec of a few bytes would ask for 2D + 1 printed rows of up to
+        # D + 1 cells, D the diamond's complex dimension
+        d = 10 ** 6
+        path = self.write(tmp_path, {
+            "name": "huge", "dimension": d, "hodge": [[0, 0, 1, 0], [d, d, 1, 0]],
+        })
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("diamond work started")
+        monkeypatch.setattr(cli, "format_diamond", refuse)
+        monkeypatch.setattr(invariants, "_newton", refuse)
+        code, out, err = run_main(capsys, "diamond", "--spec", path, *argv)
+        assert code == 3 and out == ""
+        assert "huge" in err and f"complex dimension {d}" in err
+        assert f"diamond bound {cli.DIAMOND_DIMENSION_MAX}" in err
+
+    def test_threefold_at_largest_n_accepted(self, capsys, tmp_path):
+        path = self.write(tmp_path, {
+            "name": "threefold", "dimension": 3,
+            "hodge": [[0, 0, 1, 0], [1, 1, 1, 0], [2, 2, 1, 0], [3, 3, 1, 0]],
+        })
+        n = str(cli.DIAMOND_N_MAX)
+        code, out, _ = run_main(capsys, "diamond", "--spec", path, "sym", n)
+        assert code == 0
+        assert out.startswith(f"sym {n} of threefold: complex dimension "
+                              f"{cli.DIAMOND_DIMENSION_MAX},")
 
     def test_odd_cohomology_exits_3(self, capsys, tmp_path):
         path = self.write(tmp_path, {

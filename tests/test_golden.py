@@ -41,3 +41,11 @@ def test_diamond_hilb_40_unchanged_under_optimize():
     argv = ["diamond", "--preset", "k3", "--format", "json", "hilb", "40"]
     assert (stdout_under_optimize(argv)
             == (GOLDEN_DIR / "diamond-k3-hilb-40.json").read_bytes())
+
+
+def test_diamond_sym_40_unchanged_under_optimize():
+    # Macdonald's recurrence runs through the same kernel and term builder
+    # as Goettsche's; every division check holds without assert statements
+    argv = ["diamond", "--preset", "k3", "--format", "json", "sym", "40"]
+    assert (stdout_under_optimize(argv)
+            == (GOLDEN_DIR / "diamond-k3-sym-40.json").read_bytes())

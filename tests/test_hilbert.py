@@ -19,7 +19,7 @@ from hodgekit.bigraded import (
 from hodgekit.hilbert import euler_product_coefficients, hilbert_diamond, hilbert_series
 from hodgekit.invariants import sym_product
 
-from conftest import surfaces
+from conftest import corrupt_second_term, is_symmetric, satisfies_duality, surfaces
 
 
 def partitions_of(n):
@@ -126,21 +126,15 @@ class TestHilbertDiamond:
         for surface in (enriques(), k3()):
             for n in range(1, 5):
                 d = hilbert_diamond(surface, n)
-                assert d.is_symmetric()
-                assert d.satisfies_duality()
+                assert is_symmetric(d)
+                assert satisfies_duality(d)
                 assert d.dimension == 2 * n
 
     def test_integrality_guard_trips_on_corrupted_log_term(self, monkeypatch):
         # Q_2 gains one class at (0, 0): 2 * H_2 there becomes 1 + 1 + 1
         from hodgekit import hilbert as mod
 
-        honest = mod._log_term
-
-        def corrupted(surface, j):
-            q = honest(surface, j)
-            return q + HodgeTable({(0, 0): 1}, 0) if j == 2 else q
-
-        monkeypatch.setattr(mod, "_log_term", corrupted)
+        corrupt_second_term(monkeypatch, mod)
         with pytest.raises(IntegralityViolation, match="does not divide by"):
             hilbert_diamond(enriques(), 2)
 
@@ -149,13 +143,7 @@ class TestHilbertDiamond:
         # integers and never decoded into a table, yet names the entry
         from hodgekit import hilbert as mod
 
-        honest = mod._log_term
-
-        def corrupted(surface, j):
-            q = honest(surface, j)
-            return q + HodgeTable({(0, 0): 1}, 0) if j == 2 else q
-
-        monkeypatch.setattr(mod, "_log_term", corrupted)
+        corrupt_second_term(monkeypatch, mod)
         with pytest.raises(IntegralityViolation,
                            match=r"Newton sum 3 at \(0, 0\) does not divide by 2$"):
             hilbert_diamond(k3(), 5)
@@ -182,7 +170,7 @@ class TestHilbertSeries:
         def refuse(*args):
             raise AssertionError("log term built for a non-surface")
 
-        monkeypatch.setattr(mod, "_log_term", refuse)
+        monkeypatch.setattr(mod, "_power_terms", refuse)
         table = HodgeTable({(dimension, dimension): 1}, dimension)
         with pytest.raises(ValueError, match=f"got dimension {dimension}"):
             hilbert_series(table, 2)
@@ -203,7 +191,7 @@ class TestHilbertSeries:
         def refuse(*args):
             raise AssertionError("log term built for a non-geometric table")
 
-        monkeypatch.setattr(mod, "_log_term", refuse)
+        monkeypatch.setattr(mod, "_power_terms", refuse)
         table = HodgeTable(entries, 2)
         with pytest.raises(ValueError, match=re.escape(named)):
             hilbert_series(table, 2)

@@ -23,7 +23,6 @@ from hodgekit.bigraded import (
 )
 from hodgekit.group import SignedCycleType
 from hodgekit.hilbert import (
-    _log_term,
     euler_product_coefficients,
     hilbert_diamond,
     hilbert_series,
@@ -31,7 +30,7 @@ from hodgekit.hilbert import (
 from hodgekit.invariants import (
     WHICH,
     IntegralityViolation,
-    _adams,
+    _power_terms,
     class_sum_dims,
     class_trace,
     invariant_dims,
@@ -40,12 +39,29 @@ from hodgekit.invariants import (
 )
 from hodgekit.oracle import projector_tables
 
-from conftest import equiv_tables, seeded_equiv_tables
+from conftest import corrupt_second_term, equiv_tables, seeded_equiv_tables
+
+
+def adams(table, k):
+    """psi^k as first written, a validated table: the entry at (p, q) moves
+    to (k*p, k*q)."""
+    return HodgeTable({(k * p, k * q): d for (p, q), d in table.items()},
+                      k * table.dimension)
+
+
+def log_term(surface, j):
+    """Goettsche's Q_j = sum_{r | j} (j/r) (uv)^(j-r) psi^r(S) as first
+    written: validated tables folded with tensor and direct_sum."""
+    return reduce(direct_sum, (tensor(HodgeTable({(j - r, j - r): j // r}, j - r),
+                                      adams(surface, r))
+                               for r in range(1, j + 1) if j % r == 0))
 
 
 def reference_newton(terms, dimension):
-    """Newton's recurrence as first written: every product a validated
+    """Newton's recurrence as first written: the j-th term wrapped as a
+    validated table of dimension j * dimension, every product a validated
     tensor table, folded by direct sums.  A literal witness for the kernel."""
+    terms = [HodgeTable(t, j * dimension) for j, t in enumerate(terms, 1)]
     xs = [point()]
     for m in range(1, len(terms) + 1):
         total = reduce(direct_sum, map(tensor, terms, reversed(xs)))
@@ -167,29 +183,36 @@ class TestInvariantDims:
 
     def test_integrality_guard_trips_on_corrupted_newton_term(self, monkeypatch):
         # psi^2 gains one class at (0, 0): 2 * Sym^2 there becomes 1 + 2
-        honest = mod._adams
-
-        def corrupted(table, k):
-            psi = honest(table, k)
-            return psi + HodgeTable({(0, 0): 1}, 0) if k == 2 else psi
-
-        monkeypatch.setattr(mod, "_adams", corrupted)
+        corrupt_second_term(monkeypatch, mod)
         with pytest.raises(IntegralityViolation, match="does not divide by"):
             invariant_dims(k3_enriques(), 2, "H")
 
     def test_integrality_guard_trips_on_undecoded_newton_step(self, monkeypatch):
         # the same corruption at n = 4: step 2 is checked on the packed
         # integers and never decoded into a table, yet names the entry
-        honest = mod._adams
-
-        def corrupted(table, k):
-            psi = honest(table, k)
-            return psi + HodgeTable({(0, 0): 1}, 0) if k == 2 else psi
-
-        monkeypatch.setattr(mod, "_adams", corrupted)
+        corrupt_second_term(monkeypatch, mod)
         with pytest.raises(IntegralityViolation,
                            match=r"Newton sum 3 at \(0, 0\) does not divide by 2$"):
             invariant_dims(k3_enriques(), 4, "H")
+
+
+class TestPowerTerms:
+    @pytest.mark.parametrize("surfaces", [
+        [k3()], [enriques()], [k3_enriques().plus_part()], [k3_enriques().minus_part()],
+        [part for table in seeded_equiv_tables(20)
+         for part in (table.plus_part(), table.minus_part())],
+    ], ids=["k3", "enriques", "k3_enriques+", "k3_enriques-", "seeded"])
+    def test_terms_equal_the_witness(self, surfaces):
+        # seeds [V] give psi^j(V); seeds S (uv)^(k-1) give Goettsche's Q_j
+        n = 40
+        for surface in surfaces:
+            shifted = [{(p + k, q + k): c for (p, q), c in surface.items()}
+                       for k in range(n)]
+            for seeds, witness in (([surface], adams), (shifted, log_term)):
+                terms = _power_terms(seeds, n)
+                assert len(terms) == n
+                for j, term in enumerate(terms, 1):
+                    assert term == dict(witness(surface, j).items()), (surface, j)
 
 
 class TestNewtonKernel:
@@ -197,26 +220,26 @@ class TestNewtonKernel:
         k3(), enriques(), k3_enriques().plus_part(), k3_enriques().minus_part()],
         ids=["k3", "enriques", "k3_enriques+", "k3_enriques-"])
     def test_sym_powers_equal_reference(self, surface):
-        terms = [_adams(surface, k) for k in range(1, 13)]
+        terms = [adams(surface, k) for k in range(1, 13)]
         assert_same_series(sym_powers(surface, 12),
                            reference_newton(terms, surface.dimension))
 
     def test_seeded_eigenparts_equal_reference(self):
         for table in seeded_equiv_tables(20):
             for part in (table.plus_part(), table.minus_part()):
-                terms = [_adams(part, k) for k in range(1, 7)]
+                terms = [adams(part, k) for k in range(1, 7)]
                 assert_same_series(sym_powers(part, 6),
                                    reference_newton(terms, part.dimension))
 
     @pytest.mark.parametrize("surface", [k3(), enriques()], ids=["k3", "enriques"])
     def test_hilbert_series_equal_reference(self, surface):
-        terms = [_log_term(surface, j) for j in range(1, 13)]
+        terms = [log_term(surface, j) for j in range(1, 13)]
         assert_same_series(hilbert_series(surface, 12), reference_newton(terms, 2))
 
     def test_multi_word_slots(self):
         # h^{1,1} = 2^40: the Sym^3 coefficients need two 64-bit words a slot
         surface = HodgeTable({(0, 0): 1, (1, 1): 2 ** 40, (2, 2): 1}, 2)
-        terms = [_adams(surface, k) for k in range(1, 4)]
+        terms = [adams(surface, k) for k in range(1, 4)]
         xs = sym_powers(surface, 3)
         assert_same_series(xs, reference_newton(terms, 2))
         assert max(d.bit_length() for _, d in xs[3].items()) > 64
@@ -225,7 +248,7 @@ class TestNewtonKernel:
         # total(Sym^3) < 2^64 <= 3 * total(Sym^3): the step's sums need a
         # second word although every coefficient fits in one
         surface = HodgeTable({(0, 0): 1, (1, 1): 2 ** 22, (2, 2): 1}, 2)
-        terms = [_adams(surface, k) for k in range(1, 4)]
+        terms = [adams(surface, k) for k in range(1, 4)]
         xs = sym_powers(surface, 3)
         assert_same_series(xs, reference_newton(terms, 2))
         assert xs[3].total_dim() < 2 ** 64 <= 3 * xs[3].total_dim()
@@ -237,8 +260,7 @@ class TestNewtonKernel:
         # and low + high * 2^64 divides by 3 while `low` does not.  Past
         # 2^64, slots one word wide would carry: the quotient would read 1
         # and 1, under the mask; the n.bit_length() margin keeps them apart
-        terms = [HodgeTable({}, 1), HodgeTable({}, 2),
-                 HodgeTable({(1, 1): low, (2, 0): high}, 3)]
+        terms = [{}, {}, {(1, 1): low, (2, 0): high}]
         assert (low + (high << 64)) % 3 == 0
         with pytest.raises(IntegralityViolation,
                            match=rf"Newton sum {low} at \(1, 1\) does not divide by 3$"):
@@ -247,8 +269,14 @@ class TestNewtonKernel:
     def test_understated_bound_is_refused(self, monkeypatch):
         # total dimensions that lie low set the bound to 2^1: step 1 divides
         # by 1 everywhere, but its entry 2 reaches the bound and is refused
+        class Lying(dict):
+            def values(self):
+                return [1]
+
         surface = HodgeTable({(0, 0): 1, (1, 1): 2, (2, 2): 1}, 2)
-        monkeypatch.setattr(HodgeTable, "total_dim", lambda table: 1)
+        honest = mod._power_terms
+        monkeypatch.setattr(mod, "_power_terms",
+                            lambda seeds, n: [Lying(t) for t in honest(seeds, n)])
         with pytest.raises(IntegralityViolation,
                            match=r"Newton step 1: a quotient slot reaches 2\^1"):
             sym_product(surface, 1)
@@ -264,7 +292,7 @@ class TestNewtonKernel:
         HodgeTable({(0, 0): 1, (4, 0): 2, (2, 2): 3}, 2),
     ], ids=["diagonal", "level-n", "entry-at-4-0"])
     def test_level_extremes_equal_reference(self, surface):
-        terms = [_adams(surface, k) for k in range(1, 9)]
+        terms = [adams(surface, k) for k in range(1, 9)]
         xs = sym_powers(surface, 8)
         assert_same_series(xs, reference_newton(terms, surface.dimension))
         reach = max(abs(p - q) // 2 for p, q in surface.support())
@@ -277,15 +305,15 @@ class TestNewtonKernel:
         assert len(threefolds) >= 10
         for table in threefolds:
             for part in (table.forget(), table.plus_part(), table.minus_part()):
-                terms = [_adams(part, k) for k in range(1, 7)]
+                terms = [adams(part, k) for k in range(1, 7)]
                 assert_same_series(sym_powers(part, 6),
                                    reference_newton(terms, part.dimension))
 
     def test_one_pass_and_one_table_per_coefficient(self, monkeypatch):
         # a work count, not a timing: the point X_0, then per step one
-        # validated table, and never the dict loop over pairs of entries
-        terms = [_adams(k3(), k) for k in range(1, 13)]
-        expected = reference_newton(terms, 2)
+        # validated table
+        terms = _power_terms([k3()], 12)
+        expected = reference_newton([adams(k3(), k) for k in range(1, 13)], 2)
         built, validated = [], []
 
         class Counted(HodgeTable):
@@ -295,9 +323,6 @@ class TestNewtonKernel:
                 built.append(dimension)
                 super().__init__(entries, dimension)
 
-        def refuse(pairs):
-            raise AssertionError("the Newton kernel ran the dict loop")
-
         honest_validate = bigraded._validated_entries
 
         def counted_validate(entries, dimension):
@@ -305,8 +330,6 @@ class TestNewtonKernel:
             return honest_validate(entries, dimension)
 
         monkeypatch.setattr(mod, "HodgeTable", Counted)
-        monkeypatch.setattr(bigraded, "_sum_of_products", refuse)
-        monkeypatch.setattr(mod, "_sum_of_products", refuse, raising=False)
         monkeypatch.setattr(bigraded, "_validated_entries", counted_validate)
         xs = mod._newton(terms, 2)
         assert built == [2 * m for m in range(1, 13)]
@@ -331,16 +354,16 @@ class TestNewtonKernel:
         pair = k3_enriques()
         call, expected = {
             "sym_powers": (lambda: sym_powers(k3(), 12),
-                           lambda: series(_adams, k3())),
+                           lambda: series(adams, k3())),
             "hilbert_series": (lambda: hilbert_series(k3(), 12),
-                               lambda: series(_log_term, k3())),
+                               lambda: series(log_term, k3())),
             "sym_product": (lambda: sym_product(k3(), 12),
-                            lambda: series(_adams, k3())[12]),
+                            lambda: series(adams, k3())[12]),
             "hilbert_diamond": (lambda: hilbert_diamond(k3(), 12),
-                                lambda: series(_log_term, k3())[12]),
+                                lambda: series(log_term, k3())[12]),
             "invariant_dims": (lambda: invariant_dims(pair, 12, "H"),
-                               lambda: direct_sum(series(_adams, pair.plus_part())[12],
-                                                  series(_adams, pair.minus_part())[12])),
+                               lambda: direct_sum(series(adams, pair.plus_part())[12],
+                                                  series(adams, pair.minus_part())[12])),
         }[name]
         validated, inside = [], []
         honest_newton, honest_validate = mod._newton, bigraded._validated_entries
@@ -365,13 +388,37 @@ class TestNewtonKernel:
         monkeypatch.undo()
         assert got == expected()
 
+    @pytest.mark.parametrize("name, want", [
+        ("hilbert_diamond", 1), ("sym_product", 1), ("invariant_dims", 3)])
+    def test_validated_tables_per_call(self, name, want, monkeypatch):
+        # a work count, not a timing: every table validated once the input
+        # exists.  The Newton terms are plain dicts, so only the returned
+        # coefficients, and the direct sum of H's two parts, are validated
+        surface, pair = k3(), k3_enriques()
+        call = {"hilbert_diamond": lambda: hilbert_diamond(surface, 12),
+                "sym_product": lambda: sym_product(surface, 12),
+                "invariant_dims": lambda: invariant_dims(pair, 12, "H")}[name]
+        validated = []
+        honest_validate = bigraded._validated_entries
+
+        def counted_validate(entries, dimension):
+            validated.append(dimension)
+            return honest_validate(entries, dimension)
+
+        monkeypatch.setattr(bigraded, "_validated_entries", counted_validate)
+        call()
+        assert len(validated) == want
+
     def test_odd_degrees_refused_before_any_product(self, monkeypatch):
         # the kernel's first work is the slot-width bound from the terms'
         # total dimensions; no product can be formed without it
-        def refuse(table):
-            raise AssertionError("slot width bounded before the odd-degree check")
+        class Unsized(dict):
+            def values(self):
+                raise AssertionError("slot width bounded before the odd-degree check")
 
-        monkeypatch.setattr(HodgeTable, "total_dim", refuse)
+        honest = mod._power_terms
+        monkeypatch.setattr(mod, "_power_terms",
+                            lambda seeds, n: [Unsized(t) for t in honest(seeds, n)])
         with pytest.raises(OddCohomologyUnsupported, match=r"at \(1, 0\)"):
             sym_powers(HodgeTable({(1, 0): 2}, 1), 40)
 
