@@ -24,6 +24,13 @@ SIZES = (2, 5, 8)
 HILB_SIZES = (14, 20)
 OPERATIONS = (("hilb",), ("sym",), ("quotient", "Sn"), ("quotient", "G"),
               ("quotient", "H"))
+#: Surface-spec inputs read with --spec, each with the operations pinned on
+#: it: a threefold with off-diagonal entries in both eigenspaces, and a
+#: surface with h^{2,0} = 2.
+SPEC_DIR = GOLDEN_DIR / "specs"
+SPEC_CASES = (("seeded-threefold-1", (("quotient", "10", "H"),
+                                      ("quotient", "20", "Sn"), ("sym", "20"))),
+              ("seeded-surface-3", (("hilb", "14"), ("hilb", "40"))))
 
 
 def cases() -> list[tuple[str, list[str]]]:
@@ -62,6 +69,11 @@ def cases() -> list[tuple[str, list[str]]]:
         out.append((f"diamond-{preset}-cover-2.json",
                     ["diamond", "--preset", preset, "--format", "json",
                      "cover", "2"]))
+    for spec, ops in SPEC_CASES:
+        for op, n, *group in ops:
+            name = "-".join(["diamond", spec, op, *group, n]) + ".json"
+            out.append((name, ["diamond", "--spec", str(SPEC_DIR / f"{spec}.json"),
+                               "--format", "json", op, n, *group]))
     return out
 
 
