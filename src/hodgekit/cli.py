@@ -47,7 +47,7 @@ PASS = "pass"
 FAIL = "fail"
 NOTED = "discrepancy-noted"
 
-#: Largest n the diamond command accepts; n = 40 takes under a second.
+#: Largest n the diamond command accepts; n = 40 takes under half a second.
 DIAMOND_N_MAX = 40
 
 #: Largest complex dimension of a diamond the diamond command builds (a

@@ -14,8 +14,10 @@ bidegree by k.  Its terms, and those of Goettsche's recurrence in
 t d/dt log of a plethystic exponential, differing only in its seeds.  The
 kernel packs each coefficient into one integer, so a step adds shifted
 multiples of integers and one exact test on them checks every division by
-m.  Callers that return Sym^n alone decode only Sym^n.  This yields
-quotient cohomology and symmetric products.
+m.  As PE[A + B] = PE[A] * PE[B], it runs the diagonal entries (p = q) with
+one slot per weight and the rest on their own, and joins the two series
+only in the coefficients a caller returns: Sym^n alone for Sym^n.  This
+yields quotient cohomology and symmetric products.
 
 Audit route, sharing no arithmetic with production: :func:`class_sum_dims`
 averages graded traces over the group.  The trace of an element depends
@@ -85,21 +87,27 @@ def _newton(terms: list[dict[tuple[int, int], int]], dimension: int,
     m * X_m = sum_{j=1..m} terms[j-1] * X_(m-j), with X_0 the point, X_m of
     dimension m * dimension and each term a {(p, q): c} dict, c >= 0.  Odd
     degrees are rejected once, before any product: every X_m's support is a
-    sum of term supports.  Each X_m is one integer (Kronecker substitution):
-    (p, q) of weight d = (p+q)/2 and level e = (p-q)/2 sits in slot
-    d*W + e + R, R bounding |e| over the series and W = 2R + 1, stored
-    shifted down past its empty low slots.  The recurrence run on total
-    dimensions bounds every coefficient of every X_m below 2^top; a slot is
-    top + n.bit_length() bits rounded up to whole 64-bit words, so with no
-    negative entries no slot of m * X_m carries.
+    sum of term supports.
+
+    psi^r keeps p = q, so the terms are those of the diagonal part A plus
+    those of the off-diagonal part B, and as PE[A + B] = PE[A] * PE[B] the
+    recurrence runs for the series F of A, weight d = (p+q)/2 in slot d, and
+    for L of B, level e = (p-q)/2 in slot d*W + e + R, R bounding |e| and
+    W = 2R + 1: each coefficient one integer, shifted down past its empty
+    low slots.  X_m = sum_i F_i * L_(m-i) shift-adds L_(m-i) once per slot of
+    F_i, pairwise in order of offset; with no off-diagonal entry, X = F.
+    The recurrence on total dimensions bounds each coefficient of X_m, and
+    so of its parts F_m and L_m (no entry is negative), below 2^top.  A slot
+    is top + n.bit_length() bits in whole 64-bit words, so no slot of
+    m * F_m, m * L_m or X_m carries.
 
     A step adds shifted small multiples into acc and keeps quo = acc // m
-    packed.  It is accepted by one test on the two integers: acc % m == 0 and
-    no bit at or above top set in any slot of quo.  Then m * w < 2^bits for
-    every slot w of quo, so the slots of acc are exactly the m * w and none
-    hides a remainder.  A failed test decodes acc and raises
-    IntegralityViolation naming the first slot that m does not divide.  Only
-    the returned coefficients are decoded into validated tables."""
+    packed, accepted when acc % m == 0 and no slot of quo has a bit at or
+    above top: then m * w < 2^bits for every slot w of quo, so every slot of
+    acc is exactly m * w and none hides a remainder.  A failed test raises
+    IntegralityViolation naming the first slot that m does not divide.  A
+    joined X_m passes the same bound test, and only returned coefficients
+    are decoded into validated tables."""
     _reject_odd(pq for term in terms for pq in term)
     n, dims, totals = len(terms), [sum(t.values()) for t in terms], [1]
     for m in range(1, n + 1):
@@ -109,16 +117,20 @@ def _newton(terms: list[dict[tuple[int, int], int]], dimension: int,
     bits, size = 64 * words, 8 * words
     reach = max((abs(p - q) // 2 * n // j for j, t in enumerate(terms, 1)
                  for p, q in t), default=0)
-    width = 2 * reach + 1
-    shifts = [sorted((((p + q) // 2 * width + (p - q) // 2) * bits, c)
-                     for (p, q), c in t.items()) for t in terms]
-    # X_n reaches no slot past R + n * max_j (top slot of terms[j-1]) / j
-    span = max((term[-1][0] // bits * n // j for j, term in enumerate(shifts, 1)
-                if term), default=0) + reach + 1
+    # X_n has no weight past n * max_j (top weight of terms[j-1]) / j
+    weight = max(((p + q) // 2 * n // j for j, t in enumerate(terms, 1)
+                  for p, q in t), default=0)
+    width, diag, off = 2 * reach + 1, [[] for _ in terms], [[] for _ in terms]
+    for a, b, t in zip(diag, off, terms):
+        for (p, q), c in t.items():
+            w, part = (1, a) if p == q else (width, b)
+            part.append((((p + q) // 2 * w + (p - q) // 2) * bits, c))
+        a.sort()
+        b.sort()
     mask = int.from_bytes(((1 << bits) - (1 << top)).to_bytes(size, "little")
-                          * span, "little")
+                          * ((weight + 1) * width), "little")
 
-    def slots(value, base):
+    def slots(value, base, width=width, reach=reach):
         raw = value.to_bytes(-(-value.bit_length() // bits) * size, "little")
         for slot in dict.fromkeys(i // words for i in
                                   compress(count(), memoryview(raw).cast("Q"))):
@@ -126,24 +138,52 @@ def _newton(terms: list[dict[tuple[int, int], int]], dimension: int,
             yield ((d + e - reach, d - e + reach),
                    int.from_bytes(raw[slot * size:slot * size + size], "little"))
 
+    def series(shifts, width, reach):
+        packed = [(1, reach * bits)]
+        for m in range(1, n + 1):
+            pairs = list(zip(reversed(packed), shifts))
+            base = min((b + term[0][0] for (_, b), term in pairs if term), default=0)
+            acc = sum(x * c << b + s - base for (x, b), term in pairs for s, c in term)
+            quo, rem = divmod(acc, m)
+            if rem or quo & mask:
+                for pq, value in slots(acc, base, width, reach):
+                    if value % m:
+                        raise IntegralityViolation(
+                            f"Newton sum {value} at {pq} does not divide by {m}")
+                raise IntegralityViolation(
+                    f"Newton step {m}: a quotient slot reaches 2^{top}, past the "
+                    f"bound from total dimensions")
+            packed.append((quo, base))
+        return packed
+
+    fs = series(diag, 1, 0)
+    if reach:
+        ls = series(off, width, reach)
+        # F_i as a shift list: its weight d moves L_(m-i) up d rows of W slots
+        rows = [[((b // bits + d) * width * bits, f)
+                 for d in range(-(-x.bit_length() // bits))
+                 if (f := x >> d * bits & (1 << bits) - 1)] for x, b in fs]
     xs = [point()] if n == 0 or not last_only else []
-    packed = [(1, reach * bits)]
-    for m in range(1, n + 1):
-        pairs = list(zip(reversed(packed), shifts))
-        base = min((b + term[0][0] for (_, b), term in pairs if term), default=0)
-        acc = sum(x * c << b + s - base for (x, b), term in pairs for s, c in term)
-        quo, rem = divmod(acc, m)
-        if rem or quo & mask:
-            for pq, value in slots(acc, base):
-                if value % m:
-                    raise IntegralityViolation(
-                        f"Newton sum {value} at {pq} does not divide by {m}")
-            raise IntegralityViolation(
-                f"Newton step {m}: a quotient slot reaches 2^{top}, past the "
-                f"bound from total dimensions")
-        packed.append((quo, base))
-        if m == n or not last_only:
-            xs.append(HodgeTable(dict(slots(quo, base)), m * dimension))
+    for m in range(max(n, 1) if last_only else 1, n + 1):
+        acc, base = fs[m]
+        if reach:
+            # a binary counter of partial sums, in order of offset: none spans
+            # far past its parts, and at most one of each size is alive
+            parts = []
+            for o, x, f in sorted((b + s, x, f) for (x, b), row
+                                  in zip(reversed(ls[:m + 1]), rows) for s, f in row):
+                k, v = 1, x * f
+                while parts and parts[-1][0] == k:
+                    _, o0, v0 = parts.pop()
+                    k, o, v = 2 * k, o0, v0 + (v << o - o0)
+                parts.append((k, o, v))
+            _, base, acc = parts.pop()
+            for _, o, v in reversed(parts):
+                base, acc = o, v + (acc << base - o)
+            if acc & mask:
+                raise IntegralityViolation(f"Newton coefficient {m}: a slot reaches "
+                                           f"2^{top}, past the bound from total dimensions")
+        xs.append(HodgeTable(dict(slots(acc, base)), m * dimension))
     return xs
 
 

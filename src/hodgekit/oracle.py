@@ -86,6 +86,12 @@ def _minus_masks(basis: list[tuple[_Kind, list[Label]]]) -> dict[_Kind, int]:
             for kind, _ in basis}
 
 
+def _degrees(basis: list[tuple[_Kind, list[Label]]]) -> dict[_Kind, tuple[int, int]]:
+    """Per kind, the bidegree (p, q) of its labels."""
+    return {kind: (sum(s[0] for s in kind), sum(s[1] for s in kind))
+            for kind, _ in basis}
+
+
 def _add_signed_counts(mask: int, counts: dict[_Kind, int], minus: dict[_Kind, int],
                        sums: dict[_Kind, int]) -> None:
     """Add the signed count of an element's fixed labels, per kind, into
@@ -95,15 +101,6 @@ def _add_signed_counts(mask: int, counts: dict[_Kind, int], minus: dict[_Kind, i
         if (mask & minus[kind]).bit_count() & 1:
             count = -count
         sums[kind] = sums.get(kind, 0) + count
-
-
-def _by_degree(sums: dict[_Kind, int]) -> dict[tuple[int, int], int]:
-    """Fold per-kind sums into per-bidegree sums."""
-    out: dict[tuple[int, int], int] = {}
-    for kind, value in sums.items():
-        pq = (sum(s[0] for s in kind), sum(s[1] for s in kind))
-        out[pq] = out.get(pq, 0) + value
-    return out
 
 
 def _groups_containing(mask: int) -> list[str]:
@@ -130,7 +127,7 @@ def projector_tables(table: EquivHodgeTable, n: int) -> dict[str, HodgeTable]:
         raise ValueError("n must be >= 1")
     _check_work(n, "G", table.total_dim())
     basis = _keyed_basis(table, n)
-    minus = _minus_masks(basis)
+    minus, degrees = _minus_masks(basis), _degrees(basis)
     counts_by_perm: dict[tuple[int, ...], dict[_Kind, int]] = {}
     sums: dict[str, dict[_Kind, int]] = {which: {} for which in WHICH}
     credited = dict.fromkeys(WHICH, 0)
@@ -147,8 +144,11 @@ def projector_tables(table: EquivHodgeTable, n: int) -> dict[str, HodgeTable]:
                 f"not its order {group_order(n, which)}")
     tables = {}
     for which, count in credited.items():
+        by_degree: dict[tuple[int, int], int] = {}
+        for kind, value in sums[which].items():
+            by_degree[degrees[kind]] = by_degree.get(degrees[kind], 0) + value
         entries = {}
-        for pq, value in _by_degree(sums[which]).items():
+        for pq, value in by_degree.items():
             dim, rem = divmod(value, count)
             if rem != 0 or dim < 0:
                 raise IntegralityViolation(

@@ -18,6 +18,7 @@ from hodgekit.bigraded import (
     enriques,
     k3,
     k3_enriques,
+    load_surface_spec,
     point,
     tensor,
 )
@@ -39,7 +40,8 @@ from hodgekit.invariants import (
 )
 from hodgekit.oracle import projector_tables
 
-from conftest import corrupt_second_term, equiv_tables, seeded_equiv_tables
+from conftest import corrupt_second_term, equiv_tables, seeded_equiv_tables, surfaces
+from golden.capture import GOLDEN_DIR
 
 
 def adams(table, k):
@@ -280,6 +282,16 @@ class TestNewtonKernel:
         with pytest.raises(IntegralityViolation,
                            match=r"Newton step 1: a quotient slot reaches 2\^1"):
             sym_product(surface, 1)
+        # the same at the top slot, (2, 2): the mask reaches every slot
+        with pytest.raises(IntegralityViolation,
+                           match=r"Newton step 1: a quotient slot reaches 2\^1"):
+            sym_product(HodgeTable({(0, 0): 1, (2, 2): 2}, 2), 1)
+        # with off-diagonal entries every step of both series stays at 1,
+        # and only the joined Sym^2 reaches 2 at (2, 2): F_2 + L_2 there
+        split = HodgeTable({(1, 1): 1, (2, 0): 1, (0, 2): 1}, 2)
+        with pytest.raises(IntegralityViolation,
+                           match=r"Newton coefficient 2: a slot reaches 2\^1"):
+            sym_product(split, 2)
 
     def test_hilbert_series_past_64_bits_keeps_euler_numbers(self):
         series = hilbert_series(k3(), 40)
@@ -421,6 +433,70 @@ class TestNewtonKernel:
                             lambda seeds, n: [Unsized(t) for t in honest(seeds, n)])
         with pytest.raises(OddCohomologyUnsupported, match=r"at \(1, 0\)"):
             sym_powers(HodgeTable({(1, 0): 2}, 1), 40)
+
+
+def goettsche_seeds(surface, n):
+    """Goettsche's seeds S (uv)^(k-1) for k = 1..n."""
+    return [{(p + k, q + k): c for (p, q), c in surface.items()} for k in range(n)]
+
+
+class TestLevelSplit:
+    """The kernel runs the diagonal and off-diagonal parts of the terms as
+    two series and joins them; every layout must give the witness's series."""
+
+    def assert_equals_reference(self, seeds, n, dimension):
+        terms = _power_terms(seeds, n)
+        want = reference_newton(terms, dimension)
+        assert_same_series(mod._newton(terms, dimension), want)
+        assert_same_series(mod._newton(terms, dimension, last_only=True), want[-1:])
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 20])
+    @pytest.mark.parametrize("surface", [
+        HodgeTable({(2, 0): 1, (0, 2): 1}, 2),
+        HodgeTable({(4, 0): 2, (0, 4): 2}, 2),
+        enriques(),
+        HodgeTable({(0, 0): 1, (1, 1): 3, (2, 2): 1}, 2),
+        k3(),
+    ], ids=["off-only", "off-only-level-2", "enriques", "diagonal-only", "k3"])
+    def test_series_equal_reference(self, surface, n):
+        # Goettsche's seeds keep each entry's level, so an off-diagonal-only
+        # surface leaves the diagonal series at the point
+        self.assert_equals_reference([surface], n, 2)
+        self.assert_equals_reference(goettsche_seeds(surface, n), n, 2)
+
+    @given(surfaces())
+    @settings(max_examples=8, deadline=None)
+    def test_surfaces_equal_reference(self, surface):
+        self.assert_equals_reference([surface], 20, 2)
+        self.assert_equals_reference(goettsche_seeds(surface, 20), 20, 2)
+
+    def test_seeded_threefolds_equal_reference(self):
+        # the golden spec's threefold has off-diagonal entries in both
+        # eigenspaces
+        _, golden = load_surface_spec(GOLDEN_DIR / "specs" / "seeded-threefold-1.json")
+        drawn = [t for t in seeded_equiv_tables(20, max_degree=5) if t.dimension == 3]
+        for table in [golden, *drawn[:2]]:
+            for part in (table.forget(), table.plus_part(), table.minus_part()):
+                self.assert_equals_reference([part], 20, 3)
+
+    @pytest.mark.parametrize("pq, total", [((0, 0), 3), ((2, 0), 1)],
+                             ids=["diagonal", "off-diagonal"])
+    def test_corrupted_term_names_its_entry(self, pq, total, monkeypatch):
+        # one class more at pq in T_2 of k3: the diagonal series, or the
+        # off-diagonal one, sums `total` there at step 2, which 2 does not
+        # divide; n = 4, so step 2 is checked packed and never decoded
+        honest = mod._power_terms
+
+        def corrupted(seeds, n):
+            terms = honest(seeds, n)
+            terms[1][pq] = terms[1].get(pq, 0) + 1
+            return terms
+
+        monkeypatch.setattr(mod, "_power_terms", corrupted)
+        with pytest.raises(IntegralityViolation,
+                           match=rf"Newton sum {total} at \({pq[0]}, {pq[1]}\) "
+                                 rf"does not divide by 2$"):
+            sym_product(k3(), 4)
 
 
 class TestSymProduct:
