@@ -52,7 +52,7 @@ def exceptional_orbits(n: int) -> int:
     n = 3 on everything merges into a single orbit.
     """
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise ValueError(f"n must be >= 2, got {n}")
     generators = [transposition(n, a, a + 1) for a in range(n - 1)]
     generators.append(slot_twist(n, (0, 1)))
     unseen = set(center_labels(n))

@@ -165,7 +165,7 @@ def _elements(n: int, which: str) -> Iterator[tuple[tuple[int, ...], int]]:
     if which not in WHICH:
         raise ValueError(f"which must be one of {WHICH}, got {which!r}")
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"n must be >= 1, got {n}")
     _check_work(n, which)
     twists = [(0,) * n] if which == "Sn" else [
         t for t in itertools.product((0, 1), repeat=n) if which == "G" or sum(t) % 2 == 0]
@@ -240,7 +240,7 @@ def classes(n: int, which: str) -> list[tuple[SignedCycleType, int]]:
     if which not in GROUPS:
         raise ValueError(f"which must be one of {GROUPS}, got {which!r}")
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"n must be >= 1, got {n}")
     order = group_order(n, "G")
     out = []
 

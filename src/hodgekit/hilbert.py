@@ -24,7 +24,7 @@ def _goettsche(surface: HodgeTable, n_max: int, last_only: bool) -> list[HodgeTa
                          f"got dimension {surface.dimension}")
     _require_surface(surface, "Hilbert schemes need a surface: ")
     if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     seeds = ({(p + k, q + k): c for (p, q), c in surface.items()} for k in range(n_max))
     return _newton(_power_terms(seeds, n_max), surface.dimension, last_only)
 
@@ -43,7 +43,7 @@ def hilbert_diamond(surface: HodgeTable, n: int) -> HodgeTable:
     coefficient of the Goettsche product, the only one decoded.  Refuses a
     non-surface as :func:`hilbert_series` does."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"n must be >= 1, got {n}")
     return _goettsche(surface, n, True)[-1]
 
 

@@ -189,7 +189,7 @@ def _newton(terms: list[dict[tuple[int, int], int]], dimension: int,
 
 def _symmetric(surface: HodgeTable, n: int, last_only: bool) -> list[HodgeTable]:
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise ValueError(f"n must be >= 0, got {n}")
     return _newton(_power_terms([surface], n), surface.dimension, last_only)
 
 
@@ -212,7 +212,7 @@ def invariant_dims(table: EquivHodgeTable, n: int, which: str) -> HodgeTable:
     if which not in WHICH:
         raise ValueError(f"which must be one of {WHICH}, got {which!r}")
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"n must be >= 1, got {n}")
     if which == "Sn":
         return _symmetric(table.forget(), n, True)[-1]
     plus = _symmetric(table.plus_part(), n, True)[-1]

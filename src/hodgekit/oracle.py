@@ -124,7 +124,7 @@ def projector_tables(table: EquivHodgeTable, n: int) -> dict[str, HodgeTable]:
     is built.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"n must be >= 1, got {n}")
     _check_work(n, "G", table.total_dim())
     basis = _keyed_basis(table, n)
     minus, degrees = _minus_masks(basis), _degrees(basis)

@@ -10,7 +10,9 @@ import pytest
 
 import hodgekit
 from hodgekit import cli, cover, invariants
+from hodgekit.bigraded import HodgeTable, point, preset
 from hodgekit.cli import main, run_paper_checks
+from hodgekit.hilbert import hilbert_diamond
 
 
 def run_main(capsys, *argv):
@@ -67,7 +69,14 @@ class TestDiamondCommand:
     def test_cover_rejects_other_n(self, capsys):
         code, _, err = run_main(capsys, "diamond", "cover", "3")
         assert code == 2
-        assert "n=2" in err
+        assert "n=2" in err and "got n=3" in err
+
+    @pytest.mark.parametrize("argv, value", [(("hilb", "0"), "got 0"),
+                                             (("quotient", "-2", "H"), "got -2")])
+    def test_n_below_one_names_the_value(self, capsys, argv, value):
+        code, out, err = run_main(capsys, "diamond", *argv)
+        assert code == 2 and out == ""
+        assert f"n must be >= 1, {value}" in err
 
     def test_json_and_csv_agree(self, capsys):
         _, out_json, _ = run_main(capsys, "diamond", "--preset", "k3",
@@ -80,6 +89,26 @@ class TestDiamondCommand:
             p, q, d = map(int, line.split(","))
             from_csv[(p, q)] = d
         assert from_json == from_csv
+
+
+class TestRenderHodgeJson:
+    """The diamond's JSON is written out by hand; it must stay what
+    json.dumps(..., indent=2, sort_keys=True) gives."""
+
+    @staticmethod
+    def dumped(name, table):
+        payload = {"name": name, "dimension": table.dimension,
+                   "hodge": [[p, q, d] for (p, q), d in table.items()]}
+        return json.dumps(payload, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("name, table", [
+        ("empty", HodgeTable({}, dimension=4)),
+        ("point", point()),
+        ("hilb 40 of k3", hilbert_diamond(preset("k3").forget(), 40)),
+        ('quote " backslash \\ newline \n accent \u00e9', preset("enriques").forget()),
+    ], ids=["empty", "point", "hilb-40-above-2^64", "escaped-name"])
+    def test_matches_json_dumps(self, name, table):
+        assert cli._render_hodge(name, table, "json") == self.dumped(name, table)
 
 
 class TestSurfaceSpecInput:
@@ -97,6 +126,14 @@ class TestSurfaceSpecInput:
                                 "--format", "json", "quotient", "2", "H")
         assert code == 0
         assert "custom" in json.loads(out)["name"]
+
+    def test_empty_hodge_prints_empty_list(self, capsys, tmp_path):
+        path = self.write(tmp_path, {"name": "empty", "dimension": 2, "hodge": []})
+        code, out, _ = run_main(capsys, "diamond", "--spec", path,
+                                "--format", "json", "sym", "2")
+        assert code == 0
+        assert '"hodge": []' in out
+        assert json.loads(out) == {"name": "sym 2 of empty", "dimension": 4, "hodge": []}
 
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

@@ -1,5 +1,8 @@
 """The package's public surface."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 import hodgekit
@@ -22,3 +25,13 @@ def test_every_exported_name_resolves():
 def test_removed_name_not_exported(name):
     assert name not in hodgekit.__all__
     assert not hasattr(hodgekit, name)
+
+
+def test_no_assert_in_src():
+    # python -O strips assert statements, so internal invariants must raise
+    src = Path(hodgekit.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
