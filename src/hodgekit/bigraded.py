@@ -281,8 +281,9 @@ def parse_surface_spec(data) -> tuple[str, EquivHodgeTable]:
     Raises OddCohomologyUnsupported on entries of odd total degree, and
     ValueError on malformed input or on a table no surface can have: a
     negative dimension, bidegree or eigenspace dimension, an entry beyond
-    the dimension, or an eigenspace that breaks Hodge symmetry
-    h^{p,q} = h^{q,p} or Serre duality h^{p,q} = h^{d-p,d-q}.
+    the dimension, an eigenspace that breaks Hodge symmetry
+    h^{p,q} = h^{q,p} or Serre duality h^{p,q} = h^{d-p,d-q}, or a + eigenspace
+    with h^{0,0} = 0.
     """
     if not isinstance(data, dict):
         raise ValueError("surface spec must be a JSON object")
@@ -318,6 +319,9 @@ def parse_surface_spec(data) -> tuple[str, EquivHodgeTable]:
     table = EquivHodgeTable(entries, dimension)
     for sign, part in (("+", table.plus_part()), ("-", table.minus_part())):
         _require_surface(part, "surface spec: ", f" in the {sign} eigenspace")
+    if table.plus_part()[0, 0] == 0:
+        raise ValueError("surface spec: h^(0,0) of the + eigenspace is 0, but the "
+                         "involution fixes the constant functions")
     return name, table
 
 

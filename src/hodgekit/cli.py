@@ -295,6 +295,11 @@ def _load_input(args) -> tuple[str, EquivHodgeTable]:
 
 
 def cmd_diamond(args) -> int:
+    if args.op == "quotient" and args.subgroup is None:
+        raise ValueError("quotient requires a subgroup: Sn, G or H")
+    if args.op != "quotient" and args.subgroup is not None:
+        raise ValueError(f"{args.op} takes no subgroup, got {args.subgroup}; "
+                         "only quotient does")
     n = args.n
     if n > DIAMOND_N_MAX:
         raise TooLarge(f"n = {n} exceeds the diamond bound n <= {DIAMOND_N_MAX}")
@@ -313,8 +318,6 @@ def cmd_diamond(args) -> int:
         result = sym_product(table.forget(), n)
         title = f"sym {n} of {name}"
     elif args.op == "quotient":
-        if args.subgroup is None:
-            raise ValueError("quotient requires a subgroup: Sn, G or H")
         result = invariant_dims(table, n, args.subgroup)
         title = f"quotient of {name}^{n} by {args.subgroup}"
     else:  # cover

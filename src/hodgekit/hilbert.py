@@ -12,8 +12,6 @@ The Euler product prod_m (1 - q^m)^(-e) audits its Euler numbers independently.
 
 from __future__ import annotations
 
-import math
-
 from .bigraded import HodgeTable, _require_surface
 from .invariants import _newton, _power_terms
 
@@ -48,17 +46,15 @@ def hilbert_diamond(surface: HodgeTable, n: int) -> HodgeTable:
 
 
 def euler_product_coefficients(e: int, n_max: int) -> list[int]:
-    """Coefficients of q^0..q^n_max in prod_{m>=1} (1 - q^m)^(-e)."""
+    """Coefficients of q^0..q^n_max in prod_{m>=1} (1 - q^m)^(-e).  Each
+    factor is the binomial series sum_k C(e+k-1, k) q^(mk), built by
+    c_k = c_(k-1) (e+k-1) / k, which divides exactly for every integer e."""
     coeffs = [0] * (n_max + 1)
     coeffs[0] = 1
     for m in range(1, n_max + 1):
-        if e >= 0:
-            factor = {m * k: math.comb(e + k - 1, k)
-                      for k in range(1, n_max // m + 1)}
-            factor[0] = 1
-        else:
-            factor = {m * k: (-1) ** k * math.comb(-e, k) for k in range(-e + 1)
-                      if m * k <= n_max}
+        factor = {0: 1}
+        for k in range(1, n_max // m + 1):
+            factor[m * k] = factor[m * (k - 1)] * (e + k - 1) // k
         new = [0] * (n_max + 1)
         for base, c in enumerate(coeffs):
             if c == 0:

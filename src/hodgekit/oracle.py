@@ -3,16 +3,14 @@
 Builds an explicit labeled basis of the n-th tensor power, applies group
 elements as signed permutations of basis labels, and reads invariant
 dimensions off the averaging projector: per bidegree, the average over the
-group of the signed count of fixed labels.  A label's kind, the (p, q,
-eigen) of each of its slots, fixes its bidegree and its sign under every
-twist.  G is enumerated once per n, every element as a permutation and a
-twist bitmask.  A permutation fixes no label of a kind that differs from
-itself at a moved slot; every label of every other kind is compared
-explicitly, and the fixed ones are counted per kind.  Every element then
-signs its counts into each group containing it (G always, H for an even
-twist count, Sn for none) by the parity of its twisted slots in the kind's
--1 eigenspace.  Deliberately shares no code with the symmetric-power
-production route or the class-sum audit route.
+group of the signed count of fixed labels.  G is enumerated once per n,
+every element as a permutation and a twist bitmask.  A permutation fixes no
+label of a kind that differs from itself at a moved slot; every label of
+every other kind is compared explicitly.  Fixed counts are merged by sign
+key, and every element signs them straight into the bidegree sums of each
+group containing it (G always, H for an even twist count, Sn for none).
+Deliberately shares no code with the symmetric-power production route or
+the class-sum audit route.
 """
 
 from __future__ import annotations
@@ -29,6 +27,9 @@ SlotLabel = tuple[int, int, int, int]
 Label = tuple[SlotLabel, ...]
 #: A label's kind: the (p, q, eigen) of each slot.
 _Kind = tuple[tuple[int, int, int], ...]
+#: A kind's sign key: its bidegree and the bitmask of its -1 eigenspace
+#: slots; an element negates its labels when it twists an odd number of them.
+_SignKey = tuple[tuple[int, int], int]
 
 
 def _slot_basis(table: EquivHodgeTable) -> list[SlotLabel]:
@@ -80,27 +81,12 @@ def _fixed_counts(perm: tuple[int, ...],
     return counts
 
 
-def _minus_masks(basis: list[tuple[_Kind, list[Label]]]) -> dict[_Kind, int]:
-    """Per kind, the bitmask of its slots in the -1 eigenspace."""
-    return {kind: sum(1 << m for m, (_, _, eigen) in enumerate(kind) if eigen < 0)
+def _sign_keys(basis: list[tuple[_Kind, list[Label]]]) -> dict[_Kind, _SignKey]:
+    """Per kind, its sign key: the bidegree (p, q) of its labels and the
+    bitmask of its slots in the -1 eigenspace."""
+    return {kind: ((sum(s[0] for s in kind), sum(s[1] for s in kind)),
+                   sum(1 << m for m, (_, _, eigen) in enumerate(kind) if eigen < 0))
             for kind, _ in basis}
-
-
-def _degrees(basis: list[tuple[_Kind, list[Label]]]) -> dict[_Kind, tuple[int, int]]:
-    """Per kind, the bidegree (p, q) of its labels."""
-    return {kind: (sum(s[0] for s in kind), sum(s[1] for s in kind))
-            for kind, _ in basis}
-
-
-def _add_signed_counts(mask: int, counts: dict[_Kind, int], minus: dict[_Kind, int],
-                       sums: dict[_Kind, int]) -> None:
-    """Add the signed count of an element's fixed labels, per kind, into
-    sums.  ``mask`` holds the element's twisted slots; a kind's sign is -1
-    when an odd number of them lie in its -1 eigenspace."""
-    for kind, count in counts.items():
-        if (mask & minus[kind]).bit_count() & 1:
-            count = -count
-        sums[kind] = sums.get(kind, 0) + count
 
 
 def _groups_containing(mask: int) -> list[str]:
@@ -127,15 +113,20 @@ def projector_tables(table: EquivHodgeTable, n: int) -> dict[str, HodgeTable]:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_work(n, "G", table.total_dim())
     basis = _keyed_basis(table, n)
-    minus, degrees = _minus_masks(basis), _degrees(basis)
-    counts_by_perm: dict[tuple[int, ...], dict[_Kind, int]] = {}
-    sums: dict[str, dict[_Kind, int]] = {which: {} for which in WHICH}
+    keys = _sign_keys(basis)
+    counts_by_perm: dict[tuple[int, ...], dict[_SignKey, int]] = {}
+    sums: dict[str, dict[tuple[int, int], int]] = {which: {} for which in WHICH}
     credited = dict.fromkeys(WHICH, 0)
     for perm, mask in _elements(n, "G"):
         if perm not in counts_by_perm:
-            counts_by_perm[perm] = _fixed_counts(perm, basis)
+            merged: dict[_SignKey, int] = {}
+            for kind, count in _fixed_counts(perm, basis).items():
+                merged[keys[kind]] = merged.get(keys[kind], 0) + count
+            counts_by_perm[perm] = merged
         for which in _groups_containing(mask):
-            _add_signed_counts(mask, counts_by_perm[perm], minus, sums[which])
+            for (pq, minus), count in counts_by_perm[perm].items():
+                sign = -1 if (mask & minus).bit_count() & 1 else 1
+                sums[which][pq] = sums[which].get(pq, 0) + sign * count
             credited[which] += 1
     for which, count in credited.items():
         if count != group_order(n, which):
@@ -144,11 +135,8 @@ def projector_tables(table: EquivHodgeTable, n: int) -> dict[str, HodgeTable]:
                 f"not its order {group_order(n, which)}")
     tables = {}
     for which, count in credited.items():
-        by_degree: dict[tuple[int, int], int] = {}
-        for kind, value in sums[which].items():
-            by_degree[degrees[kind]] = by_degree.get(degrees[kind], 0) + value
         entries = {}
-        for pq, value in by_degree.items():
+        for pq, value in sums[which].items():
             dim, rem = divmod(value, count)
             if rem != 0 or dim < 0:
                 raise IntegralityViolation(

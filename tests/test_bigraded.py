@@ -210,6 +210,8 @@ class TestSurfaceSpecFormat:
         ([], "surface spec: dimension must be nonnegative, got -1", -1),
         ([[0, 0, 1, 0], [-2, 0, 1, 0]], "surface spec: invalid bidegree (-2, 0)", 2),
         ([[0, 0, -1, 0]], "surface spec: negative dimension at (0, 0)", 2),
+        ([], "surface spec: h^(0,0) of the + eigenspace is 0", 2),
+        ([[0, 0, 0, 1], [2, 2, 0, 1]], "surface spec: h^(0,0) of the + eigenspace is 0", 2),
     ])
     def test_non_geometric_rejected(self, rows, named, dimension):
         doc = {"name": "x", "dimension": dimension, "hodge": rows}

@@ -50,6 +50,16 @@ class TestDiamondCommand:
         assert code == 2
         assert "subgroup" in err
 
+    @pytest.mark.parametrize("argv", [("cover", "2", "H"), ("hilb", "3", "G"),
+                                      ("sym", "2", "Sn")])
+    def test_subgroup_refused_outside_quotient(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("input loaded")
+        monkeypatch.setattr(cli, "preset", refuse)
+        code, out, err = run_main(capsys, "diamond", "--preset", "k3", *argv)
+        assert code == 2 and out == ""
+        assert f"{argv[0]} takes no subgroup, got {argv[2]}" in err
+
     def test_quotient_h(self, capsys):
         code, out, _ = run_main(capsys, "diamond", "--preset", "k3_enriques",
                                 "--format", "json", "quotient", "2", "H")
@@ -127,13 +137,14 @@ class TestSurfaceSpecInput:
         assert code == 0
         assert "custom" in json.loads(out)["name"]
 
-    def test_empty_hodge_prints_empty_list(self, capsys, tmp_path):
+    def test_empty_hodge_exits_2(self, capsys, tmp_path):
+        # no surface has h^(0,0) = 0; the renderer's empty case is covered
+        # by TestRenderHodgeJson
         path = self.write(tmp_path, {"name": "empty", "dimension": 2, "hodge": []})
-        code, out, _ = run_main(capsys, "diamond", "--spec", path,
-                                "--format", "json", "sym", "2")
-        assert code == 0
-        assert '"hodge": []' in out
-        assert json.loads(out) == {"name": "sym 2 of empty", "dimension": 4, "hodge": []}
+        code, out, err = run_main(capsys, "diamond", "--spec", path,
+                                  "--format", "json", "hilb", "2")
+        assert code == 2 and out == ""
+        assert "h^(0,0) of the + eigenspace is 0" in err
 
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

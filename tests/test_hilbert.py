@@ -1,6 +1,7 @@
 """Hilbert diamonds from Newton's recurrence on the log of Goettsche's
 product, the partition-sum reference and the Euler cross-check."""
 
+import math
 import re
 from functools import reduce
 
@@ -234,6 +235,34 @@ class TestEulerCheck:
         assert euler_product_coefficients(12, 3) == [1, 12, 90, 520]
         assert euler_product_coefficients(24, 2) == [1, 24, 324]
         assert euler_product_coefficients(0, 3) == [1, 0, 0, 0]
+
+    def test_negative_exponent_gives_pentagonal_series(self):
+        # prod (1 - q^m) = sum_j (-1)^j q^(j(3j-1)/2), Euler's pentagonal theorem
+        pentagonal = [0] * 31
+        for j in range(-5, 6):
+            if j * (3 * j - 1) // 2 <= 30:
+                pentagonal[j * (3 * j - 1) // 2] = (-1) ** j
+        assert euler_product_coefficients(-1, 30) == pentagonal
+
+    @pytest.mark.parametrize("e", [-24, -12, -2, -1, 0, 1, 2, 12, 24])
+    def test_matches_two_branch_expansion(self, e):
+        # the former expansion: a binomial series for e >= 0, a finite
+        # (1 - q^m)^|e| for e < 0
+        coeffs = [1] + [0] * 30
+        for m in range(1, 31):
+            if e >= 0:
+                factor = {m * k: math.comb(e + k - 1, k) for k in range(1, 30 // m + 1)}
+                factor[0] = 1
+            else:
+                factor = {m * k: (-1) ** k * math.comb(-e, k) for k in range(-e + 1)
+                          if m * k <= 30}
+            new = [0] * 31
+            for base, c in enumerate(coeffs):
+                for off, f in factor.items():
+                    if base + off <= 30:
+                        new[base + off] += c * f
+            coeffs = new
+        assert euler_product_coefficients(e, 30) == coeffs
 
     def test_custom_even_surface(self):
         # the assembly/generating-function identity is formal: it holds for

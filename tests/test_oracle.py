@@ -362,25 +362,29 @@ class TestKindLevelScan:
             for perm in itertools.permutations(range(n)):
                 assert oracle._fixed_counts(perm, basis) == reference_fixed_counts(perm, basis)
 
-    def test_minus_masks_mark_the_anti_invariant_slots(self):
-        for kind, _ in oracle._keyed_basis(k3_enriques(), 3):
-            mask = oracle._minus_masks([(kind, [])])[kind]
+    def test_sign_keys_give_bidegree_and_anti_invariant_slots(self):
+        basis = oracle._keyed_basis(k3_enriques(), 3)
+        keys = oracle._sign_keys(basis)
+        assert set(keys) == {kind for kind, _ in basis}
+        for kind, ((p, q), mask) in keys.items():
+            assert (p, q) == (sum(s[0] for s in kind), sum(s[1] for s in kind))
             assert [(mask >> m) & 1 for m in range(3)] == [
                 int(eigen == -1) for _, _, eigen in kind]
 
     def test_flipped_sign_bit_is_caught(self, monkeypatch):
         # negative control: one kind's sign flipped under a twist makes the
         # oracle disagree with the engine, and check 090 fail
-        minus_masks = oracle._minus_masks
+        sign_keys = oracle._sign_keys
         flipped = ((1, 1, -1),)
 
         def corrupted(basis):
-            masks = minus_masks(basis)
-            if flipped in masks:
-                masks[flipped] ^= 1
-            return masks
+            keys = sign_keys(basis)
+            if flipped in keys:
+                pq, mask = keys[flipped]
+                keys[flipped] = (pq, mask & ~1)
+            return keys
 
-        monkeypatch.setattr(oracle, "_minus_masks", corrupted)
+        monkeypatch.setattr(oracle, "_sign_keys", corrupted)
         table = k3_enriques()
         assert projector_tables(table, 1)["G"] != invariant_dims(table, 1, "G")
         status = {r.check_id: r.status for r in cli.run_paper_checks(3)}

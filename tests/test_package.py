@@ -35,3 +35,21 @@ def test_no_assert_in_src():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_src_definition_is_used():
+    # a top-level function or class that no other line of src names is dead
+    src = Path(hodgekit.__file__).parent
+    defined, used = [], set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [f"{path.name}:{node.name}" for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert [d for d in defined if d.split(":")[1] not in used] == []
