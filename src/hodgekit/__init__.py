@@ -23,11 +23,9 @@ from .bigraded import (
 )
 from .cover import cover_diamond_n2, exceptional_orbits
 from .group import (
-    GroupElement,
     SignedCycleType,
     TooLarge,
     classes,
-    enumerate_group,
     group_order,
 )
 from .hilbert import hilbert_diamond, hilbert_series
@@ -44,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EquivHodgeTable",
-    "GroupElement",
     "HodgeTable",
     "IntegralityViolation",
     "OddCohomologyUnsupported",
@@ -56,7 +53,6 @@ __all__ = [
     "cover_diamond_n2",
     "direct_sum",
     "enriques",
-    "enumerate_group",
     "exceptional_orbits",
     "format_diamond",
     "group_order",

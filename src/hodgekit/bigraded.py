@@ -17,7 +17,7 @@ of its eigenspaces.
 from __future__ import annotations
 
 import json
-from typing import Mapping
+from collections.abc import Mapping
 
 
 class OddCohomologyUnsupported(ValueError):

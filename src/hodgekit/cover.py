@@ -9,10 +9,10 @@ pair.  Blowing up along a codimension-2 center Z adds H(Z) * uv, the
 Kunneth product with the class of the exceptional P^1 fibre.
 
 This module assembles the full diamond of X for n = 2 and counts the orbits
-of the exceptional divisor classes under the deck action, which acts through
-the elements of :mod:`hodgekit.group`.  For every n, dim H^2 of X is the
-quotient's b_2 plus that orbit count; ``verify-paper`` reads it so in check
-062.
+of the exceptional divisor classes under the deck action, whose elements act
+as the (perm, mask) pairs of :mod:`hodgekit.group`.  For every n, dim H^2 of
+X is the quotient's b_2 plus that orbit count; ``verify-paper`` reads it so
+in check 062.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .bigraded import (
     k3_enriques,
     tensor,
 )
-from .group import GroupElement, slot_twist, transposition
 from .invariants import invariant_dims
 
 
@@ -36,12 +35,15 @@ def center_labels(n: int) -> list[tuple[int, int, int]]:
             for kind in (0, 1)]
 
 
-def _class_image(g: GroupElement, label: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Image of a class under g: the twist acts first, so the kind toggles
-    exactly when one slot of the pair is twisted; then the slots move."""
+def _class_image(g: tuple[tuple[int, ...], int],
+                 label: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Image of a class under g = (perm, mask): the twist acts first, so the
+    kind toggles exactly when one slot of the pair is twisted; then the
+    slots move."""
+    perm, mask = g
     i, j, kind = label
-    a, b = g.perm[i], g.perm[j]
-    return min(a, b), max(a, b), kind ^ g.twist[i] ^ g.twist[j]
+    a, b = perm[i], perm[j]
+    return min(a, b), max(a, b), kind ^ (mask >> i & 1) ^ (mask >> j & 1)
 
 
 def exceptional_orbits(n: int) -> int:
@@ -53,8 +55,10 @@ def exceptional_orbits(n: int) -> int:
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    generators = [transposition(n, a, a + 1) for a in range(n - 1)]
-    generators.append(slot_twist(n, (0, 1)))
+    identity = tuple(range(n))
+    generators = [(identity[:a] + (a + 1, a) + identity[a + 2:], 0)
+                  for a in range(n - 1)]
+    generators.append((identity, 0b11))
     unseen = set(center_labels(n))
     orbits = 0
     while unseen:

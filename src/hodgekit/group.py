@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .bigraded import IntegralityViolation
 
@@ -33,73 +32,31 @@ class TooLarge(ValueError):
     """Raised when an explicit enumeration would exceed its size guard."""
 
 
-@dataclass(frozen=True, slots=True)
-class GroupElement:
-    """An element (perm, twist) of (Z/2)^n semidirect S_n.
-
-    ``perm`` maps slot m to slot perm[m] (0-based); ``twist[m] = 1`` means the
-    involution is applied in slot m before permuting.  The product law,
-    derived from the action on tuples, is
-
-        (a * b).twist[j] = b.twist[j] XOR a.twist[b.perm[j]].
-    """
-
-    perm: tuple[int, ...]
-    twist: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {self.perm!r}")
-        if len(self.twist) != n or any(t not in (0, 1) for t in self.twist):
-            raise ValueError(f"twist must be a 0/1 vector of length {n}")
-
-    @property
-    def n(self) -> int:
-        return len(self.perm)
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if self.n != other.n:
-            raise ValueError("mismatched degrees")
-        perm = tuple(self.perm[other.perm[j]] for j in range(self.n))
-        twist = tuple(other.twist[j] ^ self.twist[other.perm[j]]
-                      for j in range(self.n))
-        return GroupElement(perm, twist)
-
-    def twist_parity(self) -> int:
-        """Total twist count mod 2; the homomorphism to Z/2 with kernel H."""
-        return sum(self.twist) % 2
-
-
-def transposition(n: int, i: int, j: int) -> GroupElement:
-    """Swap of slots i and j (0-based)."""
-    perm = list(range(n))
-    perm[i], perm[j] = perm[j], perm[i]
-    return GroupElement(tuple(perm), (0,) * n)
-
-
-def slot_twist(n: int, slots: tuple[int, ...]) -> GroupElement:
-    """Pure twist in the given 0-based slots, no permutation."""
-    twist = [0] * n
-    for s in slots:
-        twist[s] = 1
-    return GroupElement(tuple(range(n)), tuple(twist))
-
-
-@dataclass(frozen=True, slots=True)
 class SignedCycleType:
     """Multiset of (cycle length, twist parity), canonically sorted.
 
     Elements of G are conjugate exactly when their signed cycle types agree,
     and the type determines membership in H (even number of parity-1 cycles).
+    Immutable; equality and hashing compare ``parts`` only.
     """
 
-    parts: tuple[tuple[int, int], ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if any(length < 1 or parity not in (0, 1) for length, parity in self.parts):
-            raise ValueError(f"bad parts {self.parts!r}")
-        object.__setattr__(self, "parts", _canonical(self.parts))
+    def __init__(self, parts: tuple[tuple[int, int], ...]):
+        if any(length < 1 or parity not in (0, 1) for length, parity in parts):
+            raise ValueError(f"bad parts {parts!r}")
+        object.__setattr__(self, "parts", _canonical(parts))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SignedCycleType is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SignedCycleType):
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash(self.parts)
 
     @property
     def n(self) -> int:
@@ -158,9 +115,12 @@ def _check_work(n: int, which: str, labels: int | None = None) -> None:
 
 
 def _elements(n: int, which: str) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Every element of G, H or S_n as a (perm, mask) pair, in the order of
-    :func:`enumerate_group`: bit m of ``mask`` is set when slot m is
-    twisted.  Refused by :func:`_check_work` before anything is yielded.
+    """Every element of G, H or S_n as a (perm, mask) pair, in a fixed order.
+
+    ``perm`` maps slot m to slot perm[m] (0-based); bit m of ``mask`` is set
+    when the involution is applied in slot m before permuting.  S_n is the
+    permutations with zero twist.  Refused by :func:`_check_work` before
+    anything is yielded.
     """
     if which not in WHICH:
         raise ValueError(f"which must be one of {WHICH}, got {which!r}")
@@ -174,20 +134,8 @@ def _elements(n: int, which: str) -> Iterator[tuple[tuple[int, ...], int]]:
             for mask in masks)
 
 
-def enumerate_group(n: int, which: str) -> list[GroupElement]:
-    """All elements of G, H or S_n, in a fixed deterministic order.
-
-    S_n is taken as the permutations with zero twist.  Refused by
-    :func:`_check_work` when the group's order exceeds WORK_GUARD: element
-    counts grow like 2^n * n!.  Use :func:`classes` for anything
-    size-related beyond the guard.
-    """
-    return [GroupElement(perm, tuple(mask >> m & 1 for m in range(n)))
-            for perm, mask in _elements(n, which)]
-
-
 def element_census(n: int, which: str) -> list[tuple[SignedCycleType, int]]:
-    """Signed cycle types of the elements of :func:`enumerate_group`, each
+    """Signed cycle types of the elements of :func:`_elements`, each
     with how many elements have it, ordered as :func:`classes`.
 
     Every element is visited and tallied; the cycles of each permutation are

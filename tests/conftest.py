@@ -1,11 +1,13 @@
 """Shared strategies and helpers for the test suite."""
 
 import random
+from dataclasses import dataclass
 
 from hypothesis import strategies as st
 
+from hodgekit import group
 from hodgekit.bigraded import EquivHodgeTable, HodgeTable
-from hodgekit.group import GroupElement, SignedCycleType
+from hodgekit.group import SignedCycleType
 
 
 def _dimension_for(support):
@@ -90,6 +92,72 @@ def corrupt_second_term(monkeypatch, module):
         return terms
 
     monkeypatch.setattr(module, "_power_terms", corrupted)
+
+
+@dataclass(frozen=True, slots=True)
+class GroupElement:
+    """An element (perm, twist) of (Z/2)^n semidirect S_n, the validated
+    object witness for the (perm, mask) pairs the package runs on.
+
+    ``perm`` maps slot m to slot perm[m] (0-based); ``twist[m] = 1`` means the
+    involution is applied in slot m before permuting.  The product law,
+    derived from the action on tuples, is
+
+        (a * b).twist[j] = b.twist[j] XOR a.twist[b.perm[j]].
+    """
+
+    perm: tuple[int, ...]
+    twist: tuple[int, ...]
+
+    def __post_init__(self):
+        n = len(self.perm)
+        if sorted(self.perm) != list(range(n)):
+            raise ValueError(f"not a permutation of 0..{n - 1}: {self.perm!r}")
+        if len(self.twist) != n or any(t not in (0, 1) for t in self.twist):
+            raise ValueError(f"twist must be a 0/1 vector of length {n}")
+
+    @property
+    def n(self):
+        return len(self.perm)
+
+    @property
+    def pair(self):
+        """The (perm, mask) pair of the package: bit m of mask is twist[m]."""
+        return self.perm, sum(t << m for m, t in enumerate(self.twist))
+
+    def __mul__(self, other):
+        if self.n != other.n:
+            raise ValueError("mismatched degrees")
+        perm = tuple(self.perm[other.perm[j]] for j in range(self.n))
+        twist = tuple(other.twist[j] ^ self.twist[other.perm[j]]
+                      for j in range(self.n))
+        return GroupElement(perm, twist)
+
+    def twist_parity(self):
+        """Total twist count mod 2; the homomorphism to Z/2 with kernel H."""
+        return sum(self.twist) % 2
+
+
+def transposition(n, i, j):
+    """Swap of slots i and j (0-based)."""
+    perm = list(range(n))
+    perm[i], perm[j] = perm[j], perm[i]
+    return GroupElement(tuple(perm), (0,) * n)
+
+
+def slot_twist(n, slots):
+    """Pure twist in the given 0-based slots, no permutation."""
+    twist = [0] * n
+    for s in slots:
+        twist[s] = 1
+    return GroupElement(tuple(range(n)), tuple(twist))
+
+
+def enumerate_group(n, which):
+    """Every element of G, H or S_n, validated as GroupElement, in the order
+    of the package's enumeration and refused by its work guard."""
+    return [GroupElement(perm, tuple(mask >> m & 1 for m in range(n)))
+            for perm, mask in group._elements(n, which)]
 
 
 def identity(n):

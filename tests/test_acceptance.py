@@ -6,12 +6,18 @@ lines inline.  All comparisons are exact integer equalities.
 
 from hodgekit.bigraded import enriques, k3, k3_enriques
 from hodgekit.cover import cover_diamond_n2, exceptional_orbits
-from hodgekit.group import classes, enumerate_group, group_order
+from hodgekit.group import classes, group_order
 from hodgekit.hilbert import euler_product_coefficients, hilbert_diamond, hilbert_series
 from hodgekit.invariants import invariant_dims, sym_product
 from hodgekit.oracle import projector_tables
 
-from conftest import is_symmetric, satisfies_duality, seeded_equiv_tables, signed_cycle_type
+from conftest import (
+    enumerate_group,
+    is_symmetric,
+    satisfies_duality,
+    seeded_equiv_tables,
+    signed_cycle_type,
+)
 
 
 def _report(cid, description, failures):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hodgekit
-from hodgekit import cli, cover, invariants
+from hodgekit import cli, cover, group, invariants
 from hodgekit.bigraded import HodgeTable, point, preset
 from hodgekit.cli import main, run_paper_checks
 from hodgekit.hilbert import hilbert_diamond
@@ -289,6 +289,21 @@ class TestVerifyPaper:
         failed = [row.split(",")[0] for row in rows if row.endswith(",fail")]
         assert failed == ["080-euler-gf-enriques", "080-euler-gf-k3"]
         assert "fail: 2" in err
+
+    def test_single_twist_row_reads_the_enumeration(self, monkeypatch):
+        # check 012 asks the enumeration of H, not a parity formula: one
+        # that also yields the single-slot twist must fail the row
+        elements = cli._elements
+        assert elements is group._elements
+
+        def leaky(n, which):
+            yield from elements(n, which)
+            if which == "H":
+                yield tuple(range(n)), 1
+
+        monkeypatch.setattr(cli, "_elements", leaky)
+        rows = [r for r in run_paper_checks(3) if r.check_id.startswith("012-")]
+        assert [(r.actual, r.status) for r in rows] == [("True", "fail")] * 3
 
     def test_one_hilbert_series_per_surface(self, monkeypatch):
         built = []

@@ -12,11 +12,16 @@ from hodgekit.cover import (
     cover_diamond_n2,
     exceptional_orbits,
 )
-from hodgekit.group import enumerate_group
 from hodgekit.hilbert import hilbert_diamond
 from hodgekit.invariants import invariant_dims
 
-from conftest import is_symmetric, satisfies_duality
+from conftest import (
+    enumerate_group,
+    is_symmetric,
+    satisfies_duality,
+    slot_twist,
+    transposition,
+)
 
 
 class TestBlowupAssemble:
@@ -126,13 +131,34 @@ class TestExceptionalOrbits:
             orbits += 1
         assert exceptional_orbits(n) == orbits
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_flood_fill_over_group_elements(self, n):
+        # the same generators built as validated group elements, each class
+        # moved by reading the element's twist vector slot by slot
+        def image(g, label):
+            i, j, kind = label
+            a, b = g.perm[i], g.perm[j]
+            return min(a, b), max(a, b), kind ^ g.twist[i] ^ g.twist[j]
+
+        generators = [transposition(n, a, a + 1) for a in range(n - 1)]
+        generators.append(slot_twist(n, (0, 1)))
+        unseen = set(center_labels(n))
+        orbits = 0
+        while unseen:
+            orbits += 1
+            frontier = {unseen.pop()}
+            while frontier:
+                frontier = {image(g, c) for g in generators for c in frontier} & unseen
+                unseen -= frontier
+        assert exceptional_orbits(n) == orbits
+
     def test_class_action_follows_product_law(self):
         group = enumerate_group(3, "G")
         for a in group:
             for b in group:
                 for label in center_labels(3):
-                    assert (_class_image(a * b, label)
-                            == _class_image(a, _class_image(b, label)))
+                    assert (_class_image((a * b).pair, label)
+                            == _class_image(a.pair, _class_image(b.pair, label)))
 
 
 def h2_cover(n):

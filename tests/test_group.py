@@ -15,18 +15,21 @@ from hodgekit.bigraded import IntegralityViolation
 from hodgekit.group import (
     WHICH,
     WORK_GUARD,
-    GroupElement,
     SignedCycleType,
     TooLarge,
     classes,
     element_census,
-    enumerate_group,
     group_order,
+)
+
+from conftest import (
+    GroupElement,
+    enumerate_group,
+    identity,
+    signed_cycle_type,
     slot_twist,
     transposition,
 )
-
-from conftest import identity, signed_cycle_type
 
 
 def inverse(g):
@@ -201,6 +204,30 @@ class TestSignedCycleType:
     def test_canonical_ordering(self):
         ct = SignedCycleType(((1, 1), (3, 0), (1, 0), (3, 1)))
         assert ct.parts == ((3, 0), (3, 1), (1, 0), (1, 1))
+
+    def test_parts_cannot_be_assigned(self):
+        ct = SignedCycleType(((2, 1),))
+        with pytest.raises(AttributeError):
+            ct.parts = ((1, 0), (1, 0))
+        assert ct.parts == ((2, 1),)
+
+    def test_equal_parts_one_key(self):
+        a = SignedCycleType(((1, 1), (2, 0)))
+        b = SignedCycleType(((2, 0), (1, 1)))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a: 1, b: 2}) == 1
+        assert a != SignedCycleType(((2, 1), (1, 0)))
+        assert a != a.parts
+
+    @pytest.mark.parametrize("parts", [((0, 0),), ((1, 2),), ((2, 0), (1, -1))])
+    def test_bad_parts_refused(self, parts):
+        with pytest.raises(ValueError, match="bad parts"):
+            SignedCycleType(parts)
+
+    def test_repr_marks_twisted_cycles(self):
+        ct = SignedCycleType(((1, 1), (3, 1), (1, 0), (2, 0)))
+        assert repr(ct) == "SignedCycleType(3~, 2, 1, 1~)"
 
     def test_conjugation_invariance(self):
         rng = random.Random(7)

@@ -9,20 +9,19 @@ import pytest
 
 from hodgekit import cli, group, oracle
 from hodgekit.bigraded import EquivHodgeTable, IntegralityViolation, k3_enriques
-from hodgekit.group import (
-    WHICH,
-    WORK_GUARD,
-    GroupElement,
-    TooLarge,
-    enumerate_group,
-    group_order,
-    slot_twist,
-    transposition,
-)
+from hodgekit.group import WHICH, WORK_GUARD, TooLarge, group_order
 from hodgekit.invariants import class_trace, invariant_dims
 from hodgekit.oracle import _slot_basis, projector_tables
 
-from conftest import identity, seeded_equiv_tables, signed_cycle_type
+from conftest import (
+    GroupElement,
+    enumerate_group,
+    identity,
+    seeded_equiv_tables,
+    signed_cycle_type,
+    slot_twist,
+    transposition,
+)
 
 
 # The literal witness: every label of the explicit basis moved one by one,

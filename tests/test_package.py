@@ -1,6 +1,8 @@
 """The package's public surface."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,10 +23,25 @@ def test_every_exported_name_resolves():
                                   "blowup_assemble", "DimensionMismatch",
                                   "projector_invariant_dims", "labeled_basis",
                                   "apply_element", "element_trace",
-                                  "signed_cycle_type"])
+                                  "signed_cycle_type", "GroupElement",
+                                  "enumerate_group", "transposition",
+                                  "slot_twist"])
 def test_removed_name_not_exported(name):
     assert name not in hodgekit.__all__
     assert not hasattr(hodgekit, name)
+
+
+def test_cli_import_loads_only_what_runs():
+    # a command-line user pays every import on each invocation; -S keeps
+    # site hooks from loading modules the package itself does not ask for
+    src = Path(hodgekit.__file__).resolve().parent.parent
+    unwanted = ["ast", "dataclasses", "dis", "inspect", "tokenize", "typing"]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hodgekit.cli; "
+            "print(*[name for name in sys.argv[2:] if name in sys.modules])")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(src), *unwanted],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 def test_no_assert_in_src():
