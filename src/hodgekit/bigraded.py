@@ -43,9 +43,8 @@ def _validated_entries(entries, dimension):
         if not (isinstance(p, int) and isinstance(q, int)) or p < 0 or q < 0:
             raise ValueError(f"invalid bidegree {key!r}")
         if p > 2 * dimension or q > 2 * dimension:
-            raise ValueError(
-                f"entry at {key!r} exceeds the weight bound for dimension {dimension}"
-            )
+            raise ValueError(f"entry at {key!r} exceeds dimension {dimension} "
+                             f"and its weight bound {2 * dimension}")
         if value < 0:
             raise ValueError(f"negative dimension at {key!r}")
         if value:
@@ -53,20 +52,27 @@ def _validated_entries(entries, dimension):
     return clean
 
 
-def _require_surface(table, prefix="", where="") -> None:
-    """Raise ValueError, naming the first failing entry, unless the table is
-    one a compact complex manifold of its dimension n can have: p, q <= n,
-    Hodge symmetry h^{p,q} = h^{q,p} and Serre duality h^{p,q} = h^{n-p,n-q}.
-    ``prefix`` opens the message; ``where`` follows the name of a failed rule."""
+def _require_surface(table, what: str, dimension: int) -> None:
+    """Raise ValueError unless the table, plain or split, is one a compact
+    complex manifold of the given dimension can have: p, q <= dimension,
+    Hodge symmetry h^{p,q} = h^{q,p} and Serre duality h^{p,q} =
+    h^{n-p,n-q}, in each eigenspace of a split table.  The message opens
+    with ``what`` and names the dimension or the first failing entry."""
     n = table.dimension
-    for p, q in table.support():
-        if p > n or q > n:
-            raise ValueError(f"{prefix}entry at ({p}, {q}) exceeds dimension {n}")
-    for (p, q), d in table.items():
-        for rule, s, t in (("Hodge symmetry", q, p), ("Serre duality", n - p, n - q)):
-            if table[s, t] != d:
-                raise ValueError(f"{prefix}{rule} fails{where}: "
-                                 f"h^({p},{q}) = {d} but h^({s},{t}) = {table[s, t]}")
+    if n != dimension:
+        raise ValueError(f"{what} (dimension {dimension}), got dimension {n}")
+    parts = [("", table)] if isinstance(table, HodgeTable) else [
+        (f" in the {sign} eigenspace", part)
+        for sign, part in (("+", table.plus_part()), ("-", table.minus_part()))]
+    for where, part in parts:
+        for p, q in part.support():
+            if p > n or q > n:
+                raise ValueError(f"{what}: entry at ({p}, {q}) exceeds dimension {n}")
+        for (p, q), d in part.items():
+            for rule, s, t in (("Hodge symmetry", q, p), ("Serre duality", n - p, n - q)):
+                if part[s, t] != d:
+                    raise ValueError(f"{what}: {rule} fails{where}: "
+                                     f"h^({p},{q}) = {d} but h^({s},{t}) = {part[s, t]}")
 
 
 def _reject_odd(bidegrees) -> None:
@@ -88,7 +94,7 @@ class HodgeTable:
 
     def __init__(self, entries: Mapping[tuple[int, int], int], dimension: int):
         if dimension < 0:
-            raise ValueError("dimension must be nonnegative")
+            raise ValueError(f"dimension must be nonnegative, got {dimension}")
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "_entries", _validated_entries(entries, dimension))
 
@@ -278,12 +284,11 @@ def parse_surface_spec(data) -> tuple[str, EquivHodgeTable]:
 
         {"name": str, "dimension": int, "hodge": [[p, q, d_plus, d_minus], ...]}
 
-    Raises OddCohomologyUnsupported on entries of odd total degree, and
-    ValueError on malformed input or on a table no surface can have: a
-    negative dimension, bidegree or eigenspace dimension, an entry beyond
-    the dimension, an eigenspace that breaks Hodge symmetry
-    h^{p,q} = h^{q,p} or Serre duality h^{p,q} = h^{d-p,d-q}, or a + eigenspace
-    with h^{0,0} = 0.
+    Raises OddCohomologyUnsupported on entries of odd total degree before
+    anything else, and ValueError on malformed input or on a table no
+    surface can have: whatever :class:`EquivHodgeTable` or
+    :func:`_require_surface` refuses, or a + eigenspace with h^{0,0} = 0.
+    Both exceptions keep their type and gain the ``surface spec: `` prefix.
     """
     if not isinstance(data, dict):
         raise ValueError("surface spec must be a JSON object")
@@ -305,20 +310,11 @@ def parse_surface_spec(data) -> tuple[str, EquivHodgeTable]:
         if (p, q) in entries:
             raise ValueError(f"surface spec: duplicate entry at ({p}, {q})")
         entries[(p, q)] = (d_plus, d_minus)
-    _reject_odd(entries)
-    if dimension < 0:
-        raise ValueError(f"surface spec: dimension must be nonnegative, got {dimension}")
-    for (p, q), (d_plus, d_minus) in entries.items():
-        if p < 0 or q < 0:
-            raise ValueError(f"surface spec: invalid bidegree ({p}, {q})")
-        if p > dimension or q > dimension:
-            raise ValueError(
-                f"surface spec: entry at ({p}, {q}) exceeds dimension {dimension}")
-        if d_plus < 0 or d_minus < 0:
-            raise ValueError(f"surface spec: negative dimension at ({p}, {q})")
-    table = EquivHodgeTable(entries, dimension)
-    for sign, part in (("+", table.plus_part()), ("-", table.minus_part())):
-        _require_surface(part, "surface spec: ", f" in the {sign} eigenspace")
+    try:
+        table = EquivHodgeTable(entries, dimension)
+    except ValueError as exc:
+        raise type(exc)(f"surface spec: {exc}") from None
+    _require_surface(table, "surface spec", dimension)
     if table.plus_part()[0, 0] == 0:
         raise ValueError("surface spec: h^(0,0) of the + eigenspace is 0, but the "
                          "involution fixes the constant functions")

@@ -25,7 +25,7 @@ from .bigraded import (
     k3_enriques,
     tensor,
 )
-from .invariants import invariant_dims
+from .invariants import class_sum_dims
 
 
 def center_labels(n: int) -> list[tuple[int, int, int]]:
@@ -73,18 +73,14 @@ def exceptional_orbits(n: int) -> int:
 def cover_diamond_n2(surface: EquivHodgeTable | None = None) -> HodgeTable:
     """Full Hodge diamond of the double cover X for n = 2.
 
-    The base is the quotient of the 2-fold product by the even-twist group;
-    the two blow-up centers are copies of the involution quotient (for the
-    K3 preset: two Enriques surfaces), each times uv.  Raises ValueError,
-    before any work, for a table that is not a surface: dimension 2, and
-    each eigenspace within it with Hodge symmetry and Serre duality.
+    The base is the quotient of the 2-fold product by the even-twist group,
+    taken as the class-sum average, so no production kernel runs here; the
+    two blow-up centers are copies of the involution quotient (for the K3
+    preset: two Enriques surfaces), each times uv.  Raises ValueError, before
+    any work, for a table that is not a surface: dimension 2, and each
+    eigenspace within it with Hodge symmetry and Serre duality.
     """
     table = k3_enriques() if surface is None else surface
-    if table.dimension != 2:
-        raise ValueError(f"the n = 2 cover needs a surface (dimension 2), "
-                         f"got dimension {table.dimension}")
-    for sign, part in (("+", table.plus_part()), ("-", table.minus_part())):
-        _require_surface(part, "the n = 2 cover needs a surface: ",
-                         f" in the {sign} eigenspace")
-    return direct_sum(invariant_dims(table, 2, "H"),
+    _require_surface(table, "the n = 2 cover needs a surface", 2)
+    return direct_sum(class_sum_dims(table, 2, "H"),
                       tensor(HodgeTable({(1, 1): 2}, 1), table.plus_part()))

@@ -156,12 +156,11 @@ def element_census(n: int, which: str) -> list[tuple[SignedCycleType, int]]:
         raise IntegralityViolation(
             f"{visited} elements tallied for {which} at n = {n}, "
             f"not its order {group_order(n, which)}")
-    tally: dict[tuple[tuple[int, int], ...], int] = {}
+    tally: dict[SignedCycleType, int] = {}
     for parts, count in raw.items():
-        key = _canonical(parts)
-        tally[key] = tally.get(key, 0) + count
-    return sorted(((SignedCycleType(parts), count) for parts, count in tally.items()),
-                  key=lambda pair: pair[0].parts)
+        ct = SignedCycleType(parts)
+        tally[ct] = tally.get(ct, 0) + count
+    return sorted(tally.items(), key=lambda pair: pair[0].parts)
 
 
 def group_order(n: int, which: str) -> int:

@@ -17,10 +17,7 @@ from .invariants import _newton, _power_terms
 
 
 def _goettsche(surface: HodgeTable, n_max: int, last_only: bool) -> list[HodgeTable]:
-    if surface.dimension != 2:
-        raise ValueError(f"Hilbert schemes need a surface (dimension 2), "
-                         f"got dimension {surface.dimension}")
-    _require_surface(surface, "Hilbert schemes need a surface: ")
+    _require_surface(surface, "Hilbert schemes need a surface", 2)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     seeds = ({(p + k, q + k): c for (p, q), c in surface.items()} for k in range(n_max))

@@ -10,7 +10,13 @@ import pytest
 
 import hodgekit
 from hodgekit import cli, cover, group, invariants
-from hodgekit.bigraded import HodgeTable, point, preset
+from hodgekit.bigraded import (
+    HodgeTable,
+    OddCohomologyUnsupported,
+    parse_surface_spec,
+    point,
+    preset,
+)
 from hodgekit.cli import main, run_paper_checks
 from hodgekit.hilbert import hilbert_diamond
 
@@ -170,6 +176,42 @@ class TestSurfaceSpecInput:
         code, out, err = run_main(capsys, "diamond", "--spec", path, "hilb", "2")
         assert code == 2 and out == ""
         assert "(3, 1)" in err
+
+    # one more fault beside an odd entry: the odd entry is refused first
+    faults = pytest.mark.parametrize("dimension, rows, named", [
+        (2, [[0, 0, 1, 0], [-2, 0, 1, 0], [2, 2, 1, 0]],
+         "surface spec: invalid bidegree (-2, 0)"),
+        (-1, [[0, 0, 1, 0]], "surface spec: dimension must be nonnegative, got -1"),
+        (2, [[0, 0, 1, 0], [3, 1, 1, 0], [2, 2, 1, 0]],
+         "surface spec: entry at (3, 1) exceeds dimension 2"),
+        (2, [[0, 0, 1, 0], [5, 1, 1, 0], [2, 2, 1, 0]],
+         "surface spec: entry at (5, 1) exceeds dimension 2"),
+    ], ids=["negative-bidegree", "negative-dimension", "above-dimension",
+            "above-weight-bound"])
+
+    @faults
+    def test_odd_entry_refused_first_exits_3(self, capsys, tmp_path, dimension, rows,
+                                             named):
+        doc = {"name": "odd", "dimension": dimension, "hodge": rows + [[1, 0, 1, 0]]}
+        with pytest.raises(OddCohomologyUnsupported, match=r"degree at \(1, 0\)"):
+            parse_surface_spec(doc)
+        code, out, err = run_main(capsys, "diamond", "--spec", self.write(tmp_path, doc),
+                                  "hilb", "2")
+        assert code == 3 and out == ""
+        assert "odd total degree at (1, 0)" in err
+
+    @faults
+    def test_same_fault_without_odd_entry_exits_2(self, capsys, tmp_path, dimension,
+                                                  rows, named):
+        doc = {"name": "even", "dimension": dimension, "hodge": rows}
+        with pytest.raises(ValueError) as refused:
+            parse_surface_spec(doc)
+        assert not isinstance(refused.value, OddCohomologyUnsupported)
+        assert str(refused.value).startswith(named)
+        code, out, err = run_main(capsys, "diamond", "--spec", self.write(tmp_path, doc),
+                                  "hilb", "2")
+        assert code == 2 and out == ""
+        assert f"error: {named}" in err
 
     @pytest.mark.parametrize("op", ["hilb", "cover"])
     @pytest.mark.parametrize("dimension, rows", [
@@ -333,8 +375,8 @@ class TestVerifyPaper:
 
             monkeypatch.setattr(module, name, counted)
 
+        wrap(cli, "invariant_dims")
         for module in (cli, cover):
-            wrap(module, "invariant_dims")
             wrap(module, "exceptional_orbits")
         wrap(cli, "projector_tables")
         return log

@@ -72,7 +72,7 @@ class TestCoverDiamond:
         def refuse(*args):
             raise AssertionError("quotient built for a non-surface")
 
-        monkeypatch.setattr(cover, "invariant_dims", refuse)
+        monkeypatch.setattr(cover, "class_sum_dims", refuse)
         table = EquivHodgeTable({(0, 0): (1, 0)}, dimension)
         with pytest.raises(ValueError, match=f"got dimension {dimension}"):
             cover_diamond_n2(table)
@@ -90,7 +90,7 @@ class TestCoverDiamond:
         def refuse(*args):
             raise AssertionError("quotient built for a non-geometric table")
 
-        monkeypatch.setattr(cover, "invariant_dims", refuse)
+        monkeypatch.setattr(cover, "class_sum_dims", refuse)
         with pytest.raises(ValueError, match=re.escape(named)):
             cover_diamond_n2(EquivHodgeTable(entries, 2))
 

@@ -345,12 +345,3 @@ def test_one_work_guard():
                  if isinstance(name, ast.Name) and name.id == "WORK_GUARD"}
     assert comparing == {"_check_work"}
 
-
-def test_src_has_no_assert_statements():
-    # python -O strips assert, so internal invariants must raise instead
-    src = Path(group.__file__).resolve().parent
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(src.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, ast.Assert)]
-    assert found == []

@@ -70,3 +70,59 @@ def test_every_src_definition_is_used():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     assert [d for d in defined if d.split(":")[1] not in used] == []
+
+
+AUDIT_ENTRIES = ["class_sum_dims", "class_trace", "projector_tables", "element_census",
+                 "euler_product_coefficients", "exceptional_orbits",
+                 "cover_diamond_n2"]
+PRODUCTION_ENTRIES = ["invariant_dims", "sym_powers", "sym_product", "hilbert_series",
+                      "hilbert_diamond"]
+PRODUCTION_KERNEL = ["_newton", "_power_terms", "_symmetric", "_goettsche"]
+
+
+def _call_graph():
+    """Every function and class of src, by name, mapped to the names its
+    body refers to: a name, an attribute or an import alias, with aliases
+    bound by ``import ... as`` resolved.  Same-named definitions merge, so
+    the graph can only over-report what a definition reaches."""
+    src = Path(hodgekit.__file__).parent
+    graph = {}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {alias.asname: alias.name.rpartition(".")[2] for alias in ast.walk(tree)
+                 if isinstance(alias, ast.alias) and alias.asname}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            refs = graph.setdefault(node.name, set())
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    refs.add(bound.get(sub.id, sub.id))
+                elif isinstance(sub, ast.Attribute):
+                    refs.add(sub.attr)
+                elif isinstance(sub, ast.alias):
+                    refs.add(sub.name.rpartition(".")[2])
+    return graph
+
+
+def _reach(graph, start):
+    seen, todo = set(), [start]
+    while todo:
+        for name in graph.get(todo.pop(), ()):
+            if name not in seen:
+                seen.add(name)
+                todo.append(name)
+    return seen
+
+
+def test_audit_and_production_routes_share_no_path():
+    # the audit routes count as independent evidence only while none of
+    # them runs the production kernel, and production never leans on them
+    graph = _call_graph()
+    assert [name for name in AUDIT_ENTRIES + PRODUCTION_ENTRIES + PRODUCTION_KERNEL
+            if name not in graph] == []
+    crossings = [(entry, name) for entry in AUDIT_ENTRIES
+                 for name in sorted(_reach(graph, entry) & set(PRODUCTION_KERNEL))]
+    crossings += [(entry, name) for entry in PRODUCTION_ENTRIES
+                  for name in sorted(_reach(graph, entry) & set(AUDIT_ENTRIES))]
+    assert crossings == []
