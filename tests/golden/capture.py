@@ -39,6 +39,9 @@ def cases() -> list[tuple[str, list[str]]]:
             ["verify-paper", "--n-max", "6", "--format", "json"]),
            ("verify-paper-n12.json",
             ["verify-paper", "--n-max", "12", "--format", "json"]),
+           # The largest --n-max: the census rows for n = 13..20.
+           ("verify-paper-n20.json",
+            ["verify-paper", "--n-max", "20", "--format", "json"]),
            # The table and csv renderers, each pinned on both commands.
            ("verify-paper-n6.csv",
             ["verify-paper", "--n-max", "6", "--format", "csv"]),
