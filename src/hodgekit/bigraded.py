@@ -75,6 +75,11 @@ def _require_surface(table, what: str, dimension: int) -> None:
                                      f"h^({p},{q}) = {d} but h^({s},{t}) = {part[s, t]}")
 
 
+def _require_plain(table) -> None:
+    if not isinstance(table, HodgeTable):
+        raise TypeError(f"need a plain HodgeTable, got {type(table).__name__}; call .forget()")
+
+
 def _reject_odd(bidegrees) -> None:
     for p, q in bidegrees:
         if (p + q) % 2:

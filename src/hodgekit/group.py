@@ -45,7 +45,8 @@ class SignedCycleType:
     def __init__(self, parts: tuple[tuple[int, int], ...]):
         if any(length < 1 or parity not in (0, 1) for length, parity in parts):
             raise ValueError(f"bad parts {parts!r}")
-        object.__setattr__(self, "parts", _canonical(parts))
+        object.__setattr__(self, "parts",
+                           tuple(sorted(parts, key=lambda lt: (-lt[0], lt[1]))))
 
     def __setattr__(self, name, value):
         raise AttributeError("SignedCycleType is immutable")
@@ -72,10 +73,6 @@ class SignedCycleType:
         body = ", ".join(f"{length}{'~' if parity else ''}"
                          for length, parity in self.parts)
         return f"SignedCycleType({body})"
-
-
-def _canonical(parts):
-    return tuple(sorted(parts, key=lambda lt: (-lt[0], lt[1])))
 
 
 def _cycles(perm: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -173,43 +170,53 @@ def group_order(n: int, which: str) -> int:
     raise ValueError(f"unknown group token {which!r}")
 
 
-def classes(n: int, which: str) -> list[tuple[SignedCycleType, int]]:
-    """Census of signed cycle types with their element counts.
+def census_series(n_max: int) -> dict[int, list[tuple[SignedCycleType, int, bool]]]:
+    """n = 1..n_max mapped to G's (type, class size, in H), ordered by parts.
+    One walk lists the prefixes of cycles of length >= 2 in order, each with
+    its centralizer order in G, prod_l (2l)^(c0 + c1) c0! c1!; a prefix of
+    total s gives each n >= s its c0 + c1 = n - s fixed points, adding
+    2^(c0 + c1) c0! c1! (the cycle index of Z/2 wr S_n).  A class size that
+    is not whole raises IntegralityViolation."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    fact = [math.factorial(k) for k in range(n_max + 1)]
+    # for f fixed points: each split's parts, centralizer factor and c1
+    tails = [[(((1, 0),) * (f - c1) + ((1, 1),) * c1, fact[f - c1] * fact[c1] << f, c1)
+              for c1 in range(f + 1)] for f in range(n_max + 1)]
+    rows: dict[int, list] = {n: [] for n in range(1, n_max + 1)}
+    # the walk's parts are valid and canonical: skip the constructor
+    new, put = object.__new__, SignedCycleType.parts.__set__
+    stack = [((), 0, 0, 1, n_max)]
+    while stack:
+        parts, s, twisted, z, longest = stack.pop()
+        for n in range(max(s, 1), n_max + 1):
+            order, row = 2 ** n * fact[n], rows[n]
+            for tail, factor, c1 in tails[n - s]:
+                size, rem = divmod(order, z * factor)
+                if rem:
+                    raise IntegralityViolation(f"class size {order}/{z * factor} of "
+                                               f"{SignedCycleType(parts + tail)!r} is not whole")
+                ct = new(SignedCycleType)
+                put(ct, parts + tail)
+                row.append((ct, size, (twisted + c1) % 2 == 0))
+        # push the extensions by one block (l, 0)^c0 (l, 1)^c1, l below the last,
+        # largest first: they pop in order of parts, each before its extensions
+        blocks = sorted((((length, 0),) * (c - c1) + ((length, 1),) * c1, length, c, c1)
+                        for length in range(2, min(longest, n_max - s) + 1)
+                        for c in range(1, (n_max - s) // length + 1) for c1 in range(c + 1))
+        for block, length, c, c1 in reversed(blocks):
+            stack.append((parts + block, s + length * c, twisted + c1, z * (2 * length) ** c
+                          * math.factorial(c - c1) * math.factorial(c1), length - 1))
+    return rows
 
-    One recursion over cycle lengths l = n..1 picks c cycles of length l and
-    splits them into c0 untwisted and c1 twisted ones, carrying the order of
-    the centralizer in G, prod_l (2l)^(c0 + c1) * c0! * c1!.  Each class
-    size is |G| divided by it; a remainder raises IntegralityViolation.
-    For H only the types with an even number of twisted cycles are kept;
-    since H is normal in G, every type lies entirely inside or outside H and
-    the kept sizes add up to the order of H.  No enumeration, no guard.
-    """
+
+def classes(n: int, which: str) -> list[tuple[SignedCycleType, int]]:
+    """Census of signed cycle types with their element counts, ordered by
+    parts: :func:`census_series` read at n.  For H only the types with an
+    even number of twisted cycles are kept; H is normal in G, so each type
+    lies inside or outside H and the kept sizes add up to the order of H."""
     if which not in GROUPS:
         raise ValueError(f"which must be one of {GROUPS}, got {which!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    order = group_order(n, "G")
-    out = []
-
-    def split(length, remaining, parts, centralizer):
-        # length 1 takes whatever is left
-        for c in range(remaining // length, -1, -1) if length > 1 else (remaining,):
-            for c1 in range(c + 1):
-                here = parts + ((length, 0),) * (c - c1) + ((length, 1),) * c1
-                z = (centralizer * (2 * length) ** c
-                     * math.factorial(c - c1) * math.factorial(c1))
-                if remaining > length * c:
-                    split(length - 1, remaining - length * c, here, z)
-                    continue
-                ct = SignedCycleType(here)
-                if which == "H" and not ct.in_h():
-                    continue
-                size, rem = divmod(order, z)
-                if rem:
-                    raise IntegralityViolation(
-                        f"class size {order}/{z} of {ct!r} is not whole")
-                out.append((ct, size))
-
-    split(n, n, (), 1)
-    out.sort(key=lambda pair: pair[0].parts)
-    return out
+    return [(ct, size) for ct, size, in_h in census_series(n)[n] if in_h or which == "G"]

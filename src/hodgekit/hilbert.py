@@ -12,11 +12,12 @@ The Euler product prod_m (1 - q^m)^(-e) audits its Euler numbers independently.
 
 from __future__ import annotations
 
-from .bigraded import HodgeTable, _require_surface
+from .bigraded import HodgeTable, _require_plain, _require_surface
 from .invariants import _newton, _power_terms
 
 
 def _goettsche(surface: HodgeTable, n_max: int, last_only: bool) -> list[HodgeTable]:
+    _require_plain(surface)
     _require_surface(surface, "Hilbert schemes need a surface", 2)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -26,10 +27,10 @@ def _goettsche(surface: HodgeTable, n_max: int, last_only: bool) -> list[HodgeTa
 
 def hilbert_series(surface: HodgeTable, n_max: int) -> list[HodgeTable]:
     """Diamonds of Hilb^0..Hilb^n_max, each of dimension 2n, by
-    Newton's recurrence n * H_n = sum_j Q_j * H_(n-j) on log H(t).  Raises
-    ValueError, before any term is built, for a table that is not a surface
-    (dimension 2, entries within it, Hodge symmetry and Serre duality): the
-    product holds for surfaces only."""
+    Newton's recurrence n * H_n = sum_j Q_j * H_(n-j) on log H(t).  Before
+    any term is built, raises TypeError for a split table and ValueError for
+    a non-surface (dimension 2, entries within it, Hodge symmetry, Serre
+    duality): the product holds for surfaces only."""
     return _goettsche(surface, n_max, False)
 
 

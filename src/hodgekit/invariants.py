@@ -40,6 +40,7 @@ from .bigraded import (
     HodgeTable,
     IntegralityViolation,
     _reject_odd,
+    _require_plain,
     direct_sum,
     point,
 )
@@ -188,6 +189,7 @@ def _newton(terms: list[dict[tuple[int, int], int]], dimension: int,
 
 
 def _symmetric(surface: HodgeTable, n: int, last_only: bool) -> list[HodgeTable]:
+    _require_plain(surface)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return _newton(_power_terms([surface], n), surface.dimension, last_only)
@@ -197,8 +199,23 @@ def sym_powers(surface: HodgeTable, n: int) -> list[HodgeTable]:
     """Diamonds of Sym^0..Sym^n of an even-degree table by Newton's recurrence
     m * S_m = sum_{k=1..m} psi^k(V) * S_(m-k) (Macdonald, The Poincare
     polynomial of a symmetric product, 1962).  A remainder in any division
-    by m raises IntegralityViolation."""
+    by m raises IntegralityViolation; a split table raises TypeError."""
     return _symmetric(surface, n, False)
+
+
+def _invariants(table, n: int, which: str, last_only: bool) -> list[HodgeTable]:
+    if which not in WHICH:
+        raise ValueError(f"which must be one of {WHICH}, got {which!r}")
+    if n < 1:
+        raise ValueError(f"{'n' if last_only else 'n_max'} must be >= 1, got {n}")
+    if which == "Sn":
+        return _symmetric(table.forget(), n, last_only)
+    plus = _symmetric(table.plus_part(), n, last_only)
+    if which == "G":
+        return plus
+    minus = _symmetric(table.minus_part(), n, last_only)
+    skip = 0 if last_only else 1  # V^(tensor 0) is the point, not two
+    return plus[:skip] + [direct_sum(a, b) for a, b in zip(plus[skip:], minus[skip:])]
 
 
 def invariant_dims(table: EquivHodgeTable, n: int, which: str) -> HodgeTable:
@@ -209,16 +226,12 @@ def invariant_dims(table: EquivHodgeTable, n: int, which: str) -> HodgeTable:
     is Sym^n(V) for "Sn", Sym^n(V_+) for "G" and Sym^n(V_+) (+) Sym^n(V_-)
     for "H".
     """
-    if which not in WHICH:
-        raise ValueError(f"which must be one of {WHICH}, got {which!r}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if which == "Sn":
-        return _symmetric(table.forget(), n, True)[-1]
-    plus = _symmetric(table.plus_part(), n, True)[-1]
-    if which == "G":
-        return plus
-    return direct_sum(plus, _symmetric(table.minus_part(), n, True)[-1])
+    return _invariants(table, n, which, True)[-1]
+
+
+def invariant_series(table: EquivHodgeTable, n_max: int, which: str) -> list[HodgeTable]:
+    """:func:`invariant_dims` at n = 0..n_max (the point at 0), from one series."""
+    return _invariants(table, n_max, which, False)
 
 
 def class_sum_dims(table: EquivHodgeTable, n: int, which: str) -> HodgeTable:

@@ -127,6 +127,21 @@ class TestRenderHodgeJson:
         assert cli._render_hodge(name, table, "json") == self.dumped(name, table)
 
 
+class TestRenderResultsJson:
+    """verify-paper's JSON is written out by hand too, against the same
+    json.dumps(..., indent=2, sort_keys=True) of each row's fields."""
+
+    @pytest.mark.parametrize("results", [
+        run_paper_checks(6),
+        [],
+        [cli.CheckResult('quote "', "backslash \\", "newline \n", "accent \u00e9",
+                         '"\\\n\u00e9', "fail")],
+    ], ids=["verify-paper-6", "empty", "escaped-fields"])
+    def test_matches_json_dumps(self, results):
+        assert (cli._render_results(results, "json")
+                == json.dumps([r._asdict() for r in results], indent=2, sort_keys=True))
+
+
 class TestSurfaceSpecInput:
     def write(self, tmp_path, doc):
         path = tmp_path / "surface.json"
@@ -347,6 +362,41 @@ class TestVerifyPaper:
         rows = [r for r in run_paper_checks(3) if r.check_id.startswith("012-")]
         assert [(r.actual, r.status) for r in rows] == [("True", "fail")] * 3
 
+    @staticmethod
+    def failed_rows(monkeypatch, at, change):
+        """Ids of the failed rows of run_paper_checks(6) when the census
+        series at n = ``at`` is replaced by change(census)."""
+        series = cli.census_series
+
+        def faulty(n_max):
+            out = series(n_max)
+            out[at] = change(out[at])
+            return out
+
+        monkeypatch.setattr(cli, "census_series", faulty)
+        return [r.check_id for r in run_paper_checks(6) if r.status == "fail"]
+
+    def test_census_type_out_of_order_fails_check_011(self, monkeypatch):
+        # a type built unchecked with its parts out of order is not the type
+        # the explicit census builds
+        def reverse_one(census):
+            i = next(i for i, (ct, _, _) in enumerate(census)
+                     if ct.parts[::-1] != ct.parts)
+            ct, size, in_h = census[i]
+            swapped = object.__new__(group.SignedCycleType)
+            group.SignedCycleType.parts.__set__(swapped, ct.parts[::-1])
+            return [*census[:i], (swapped, size, in_h), *census[i + 1:]]
+
+        assert self.failed_rows(monkeypatch, 3, reverse_one) == ["011-group-enum-match-n3"]
+
+    def test_census_size_off_by_one_fails_check_010(self, monkeypatch):
+        def grow_first(census):
+            (ct, size, in_h), *rest = census
+            return [(ct, size + 1, in_h), *rest]
+
+        assert (self.failed_rows(monkeypatch, 6, grow_first)
+                == ["010-group-order-G-n6", "010-group-order-H-n6"])
+
     def test_one_hilbert_series_per_surface(self, monkeypatch):
         built = []
         series = cli.hilbert_series
@@ -363,8 +413,8 @@ class TestVerifyPaper:
     def calls(self, monkeypatch):
         """Arguments of every call to the quotient engine, the orbit count
         and the projector oracle, recorded in each namespace that calls them."""
-        log = {name: [] for name in ("invariant_dims", "exceptional_orbits",
-                                     "projector_tables")}
+        log = {name: [] for name in ("invariant_dims", "invariant_series",
+                                     "exceptional_orbits", "projector_tables")}
 
         def wrap(module, name):
             inner = getattr(module, name)
@@ -376,17 +426,17 @@ class TestVerifyPaper:
             monkeypatch.setattr(module, name, counted)
 
         wrap(cli, "invariant_dims")
+        wrap(cli, "invariant_series")
         for module in (cli, cover):
             wrap(module, "exceptional_orbits")
         wrap(cli, "projector_tables")
         return log
 
     def test_each_quotient_built_once(self, calls):
+        # every H quotient comes from one series, as the Hilbert schemes do
         run_paper_checks(6)
-        built = [args[1:] for args in calls["invariant_dims"]]
-        assert len(built) <= 15
-        for n in range(4, 7):
-            assert built.count((n, "H")) == 1
+        assert [args[1:] for args in calls["invariant_series"]] == [(6, "H")]
+        assert len(calls["invariant_dims"]) <= 15
 
     def test_each_orbit_count_once(self, calls):
         run_paper_checks(6)

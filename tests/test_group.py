@@ -17,6 +17,7 @@ from hodgekit.group import (
     WORK_GUARD,
     SignedCycleType,
     TooLarge,
+    census_series,
     classes,
     element_census,
     group_order,
@@ -322,6 +323,33 @@ class TestClasses:
             assert ct.in_h()
         for ct, _ in classes(4, "G"):
             assert ct.in_h() == (ct.twisted_cycles() % 2 == 0)
+
+
+class TestCensusSeries:
+    @pytest.fixture(scope="class")
+    def series(self):
+        return census_series(12)
+
+    def test_every_n_is_the_census(self, series):
+        assert list(series) == list(range(1, 13))
+        for n, census in series.items():
+            assert [(ct, size) for ct, size, _ in census] == classes(n, "G")
+            assert [(ct, size) for ct, size, in_h in census if in_h] == classes(n, "H")
+
+    def test_types_are_canonical(self, series):
+        # built without the public constructor, so held to what it would make
+        for census in series.values():
+            for ct, _, in_h in census:
+                assert ct.parts == SignedCycleType(ct.parts).parts
+                assert in_h == ct.in_h()
+
+    def test_sizes_sum_to_order(self, series):
+        for n, census in series.items():
+            assert sum(size for _, size, _ in census) == group_order(n, "G")
+
+    def test_bad_bound(self):
+        with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
+            census_series(0)
 
 
 def test_one_work_guard():

@@ -14,6 +14,7 @@ from hodgekit.bigraded import (
     direct_sum,
     enriques,
     k3,
+    k3_enriques,
     point,
     tensor,
 )
@@ -199,6 +200,17 @@ class TestHilbertSeries:
         with pytest.raises(ValueError, match=re.escape(named)):
             hilbert_diamond(table, 2)
 
+
+    @pytest.mark.parametrize("build", [hilbert_series, hilbert_diamond])
+    def test_split_table_refused_before_any_term(self, build, monkeypatch):
+        from hodgekit import hilbert as mod
+
+        def refuse(*args):
+            raise AssertionError("log term built for a split table")
+
+        monkeypatch.setattr(mod, "_power_terms", refuse)
+        with pytest.raises(TypeError, match=r"got EquivHodgeTable; call \.forget\(\)"):
+            build(k3_enriques(), 2)
 
 def series_euler(surface, n_max):
     return [d.euler() for d in hilbert_series(surface, n_max)]

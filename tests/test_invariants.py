@@ -35,6 +35,7 @@ from hodgekit.invariants import (
     class_sum_dims,
     class_trace,
     invariant_dims,
+    invariant_series,
     sym_powers,
     sym_product,
 )
@@ -168,6 +169,18 @@ class TestInvariantDims:
         for n in range(1, 5):
             assert (invariant_dims(k3_enriques(), n, "G")
                     == sym_product(enriques(), n))
+
+    @pytest.mark.parametrize("which", WHICH)
+    def test_series_reads_every_n(self, which):
+        table = load_surface_spec(GOLDEN_DIR / "specs" / "seeded-threefold-1.json")[1]
+        for split in (k3_enriques(), table):
+            series = invariant_series(split, 6, which)
+            assert series[0] == point()
+            assert series[1:] == [invariant_dims(split, n, which) for n in range(1, 7)]
+
+    def test_series_bad_bound(self):
+        with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
+            invariant_series(k3_enriques(), 0, "H")
 
     def test_bad_token(self):
         with pytest.raises(ValueError):
@@ -513,6 +526,15 @@ class TestSymProduct:
         odd = HodgeTable({(1, 0): 2}, 1)
         with pytest.raises(OddCohomologyUnsupported):
             sym_product(odd, 2)
+
+    @pytest.mark.parametrize("build", [sym_powers, sym_product])
+    def test_split_table_refused_before_any_term(self, build, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Newton term built for a split table")
+
+        monkeypatch.setattr(mod, "_power_terms", refuse)
+        with pytest.raises(TypeError, match=r"got EquivHodgeTable; call \.forget\(\)"):
+            build(k3_enriques(), 2)
 
     def test_first_power_is_identity(self):
         assert sym_product(enriques(), 1) == enriques()

@@ -72,11 +72,11 @@ def test_every_src_definition_is_used():
     assert [d for d in defined if d.split(":")[1] not in used] == []
 
 
-AUDIT_ENTRIES = ["class_sum_dims", "class_trace", "projector_tables", "element_census",
-                 "euler_product_coefficients", "exceptional_orbits",
+AUDIT_ENTRIES = ["class_sum_dims", "class_trace", "classes", "projector_tables",
+                 "element_census", "euler_product_coefficients", "exceptional_orbits",
                  "cover_diamond_n2"]
-PRODUCTION_ENTRIES = ["invariant_dims", "sym_powers", "sym_product", "hilbert_series",
-                      "hilbert_diamond"]
+PRODUCTION_ENTRIES = ["invariant_dims", "invariant_series", "sym_powers", "sym_product",
+                      "hilbert_series", "hilbert_diamond"]
 PRODUCTION_KERNEL = ["_newton", "_power_terms", "_symmetric", "_goettsche"]
 
 
