@@ -23,7 +23,6 @@ from .bigraded import (
 )
 from .cover import cover_diamond_n2, exceptional_orbits
 from .group import (
-    SignedCycleType,
     TooLarge,
     classes,
     group_order,
@@ -45,7 +44,6 @@ __all__ = [
     "HodgeTable",
     "IntegralityViolation",
     "OddCohomologyUnsupported",
-    "SignedCycleType",
     "TooLarge",
     "class_sum_dims",
     "class_trace",

@@ -333,6 +333,8 @@ def load_surface_spec(path) -> tuple[str, EquivHodgeTable]:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"surface spec {path}: invalid JSON ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"surface spec {path}: not UTF-8 ({exc})") from exc
     return parse_surface_spec(data)
 
 

@@ -32,7 +32,6 @@ from .bigraded import (
 from .cover import cover_diamond_n2, exceptional_orbits
 from .group import (
     WHICH,
-    SignedCycleType,
     TooLarge,
     _elements,
     census_series,
@@ -55,8 +54,9 @@ DIAMOND_N_MAX = 40
 #: threefold's at the largest n); the printed rows grow with its square.
 DIAMOND_DIMENSION_MAX = 3 * DIAMOND_N_MAX
 
-#: Largest --n-max verify-paper accepts; 20 takes about 0.4 s, and the cost
-#: grows about 1.5-fold per 4 steps (the census series grows fastest).
+#: Largest --n-max verify-paper accepts; 20 takes about 0.3 s and 16 about
+#: 0.15 s, of which about 0.07 s is start-up; past start-up the cost grows
+#: 2- to 3-fold per 4 steps (the census series grows fastest).
 VERIFY_N_MAX = 20
 
 
@@ -112,12 +112,12 @@ def run_paper_checks(n_max: int = 6) -> list[CheckResult]:
     add(_check("020-trace-untwisted-fixed-point-h11",
                "untwisted fixed point: trace coefficient at (1,1) is the "
                "full h^{1,1} of the K3 surface",
-               20, class_trace(SignedCycleType(((1, 0),)), table).get((1, 1), 0),
+               20, class_trace(((1, 0),), table).get((1, 1), 0),
                "PAPER"))
     add(_check("021-trace-twisted-fixed-point-h11",
                "twisted fixed point: trace coefficient at (1,1) cancels "
                "(10 invariant minus 10 anti-invariant)",
-               0, class_trace(SignedCycleType(((1, 1),)), table).get((1, 1), 0),
+               0, class_trace(((1, 1),), table).get((1, 1), 0),
                "PAPER"))
 
     # Hilbert schemes of the Enriques and K3 surfaces, one series each.

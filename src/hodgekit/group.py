@@ -4,7 +4,9 @@ G is the full group (Z/2)^n semidirect S_n: a permutation of the factors
 composed with an involution twist in any subset of slots.  H is its index-2
 subgroup of elements twisting an even number of slots.  Conjugacy classes
 of G are labeled by signed cycle types: the cycle lengths of the permutation,
-each tagged with the parity of the twists met along the cycle.
+each tagged with the parity of the twists met along the cycle.  A type is the
+tuple ((length, parity), ...) sorted by descending length, then parity; it
+lies in H when an even number of its cycles are twisted.
 
 Group tokens used throughout the package: ``"G"`` (full group), ``"H"``
 (even-twist subgroup), ``"Sn"`` (permutations only).
@@ -30,49 +32,6 @@ WHICH = ("Sn", *GROUPS)
 
 class TooLarge(ValueError):
     """Raised when an explicit enumeration would exceed its size guard."""
-
-
-class SignedCycleType:
-    """Multiset of (cycle length, twist parity), canonically sorted.
-
-    Elements of G are conjugate exactly when their signed cycle types agree,
-    and the type determines membership in H (even number of parity-1 cycles).
-    Immutable; equality and hashing compare ``parts`` only.
-    """
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple[tuple[int, int], ...]):
-        if any(length < 1 or parity not in (0, 1) for length, parity in parts):
-            raise ValueError(f"bad parts {parts!r}")
-        object.__setattr__(self, "parts",
-                           tuple(sorted(parts, key=lambda lt: (-lt[0], lt[1]))))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignedCycleType is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SignedCycleType):
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    @property
-    def n(self) -> int:
-        return sum(length for length, _ in self.parts)
-
-    def twisted_cycles(self) -> int:
-        return sum(parity for _, parity in self.parts)
-
-    def in_h(self) -> bool:
-        return self.twisted_cycles() % 2 == 0
-
-    def __repr__(self):
-        body = ", ".join(f"{length}{'~' if parity else ''}"
-                         for length, parity in self.parts)
-        return f"SignedCycleType({body})"
 
 
 def _cycles(perm: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -131,7 +90,7 @@ def _elements(n: int, which: str) -> Iterator[tuple[tuple[int, ...], int]]:
             for mask in masks)
 
 
-def element_census(n: int, which: str) -> list[tuple[SignedCycleType, int]]:
+def element_census(n: int, which: str) -> list[tuple[tuple, int]]:
     """Signed cycle types of the elements of :func:`_elements`, each
     with how many elements have it, ordered as :func:`classes`.
 
@@ -153,11 +112,11 @@ def element_census(n: int, which: str) -> list[tuple[SignedCycleType, int]]:
         raise IntegralityViolation(
             f"{visited} elements tallied for {which} at n = {n}, "
             f"not its order {group_order(n, which)}")
-    tally: dict[SignedCycleType, int] = {}
+    tally: dict[tuple[tuple[int, int], ...], int] = {}
     for parts, count in raw.items():
-        ct = SignedCycleType(parts)
+        ct = tuple(sorted(parts, key=lambda lt: (-lt[0], lt[1])))
         tally[ct] = tally.get(ct, 0) + count
-    return sorted(tally.items(), key=lambda pair: pair[0].parts)
+    return sorted(tally.items())
 
 
 def group_order(n: int, which: str) -> int:
@@ -170,8 +129,8 @@ def group_order(n: int, which: str) -> int:
     raise ValueError(f"unknown group token {which!r}")
 
 
-def census_series(n_max: int) -> dict[int, list[tuple[SignedCycleType, int, bool]]]:
-    """n = 1..n_max mapped to G's (type, class size, in H), ordered by parts.
+def census_series(n_max: int) -> dict[int, list[tuple[tuple, int, bool]]]:
+    """n = 1..n_max mapped to G's (type, class size, in H), in tuple order.
     One walk lists the prefixes of cycles of length >= 2 in order, each with
     its centralizer order in G, prod_l (2l)^(c0 + c1) c0! c1!; a prefix of
     total s gives each n >= s its c0 + c1 = n - s fixed points, adding
@@ -184,8 +143,6 @@ def census_series(n_max: int) -> dict[int, list[tuple[SignedCycleType, int, bool
     tails = [[(((1, 0),) * (f - c1) + ((1, 1),) * c1, fact[f - c1] * fact[c1] << f, c1)
               for c1 in range(f + 1)] for f in range(n_max + 1)]
     rows: dict[int, list] = {n: [] for n in range(1, n_max + 1)}
-    # the walk's parts are valid and canonical: skip the constructor
-    new, put = object.__new__, SignedCycleType.parts.__set__
     stack = [((), 0, 0, 1, n_max)]
     while stack:
         parts, s, twisted, z, longest = stack.pop()
@@ -195,10 +152,8 @@ def census_series(n_max: int) -> dict[int, list[tuple[SignedCycleType, int, bool
                 size, rem = divmod(order, z * factor)
                 if rem:
                     raise IntegralityViolation(f"class size {order}/{z * factor} of "
-                                               f"{SignedCycleType(parts + tail)!r} is not whole")
-                ct = new(SignedCycleType)
-                put(ct, parts + tail)
-                row.append((ct, size, (twisted + c1) % 2 == 0))
+                                               f"{parts + tail} is not whole")
+                row.append((parts + tail, size, (twisted + c1) % 2 == 0))
         # push the extensions by one block (l, 0)^c0 (l, 1)^c1, l below the last,
         # largest first: they pop in order of parts, each before its extensions
         blocks = sorted((((length, 0),) * (c - c1) + ((length, 1),) * c1, length, c, c1)
@@ -210,9 +165,9 @@ def census_series(n_max: int) -> dict[int, list[tuple[SignedCycleType, int, bool
     return rows
 
 
-def classes(n: int, which: str) -> list[tuple[SignedCycleType, int]]:
-    """Census of signed cycle types with their element counts, ordered by
-    parts: :func:`census_series` read at n.  For H only the types with an
+def classes(n: int, which: str) -> list[tuple[tuple, int]]:
+    """Census of signed cycle types with their element counts, in tuple
+    order: :func:`census_series` read at n.  For H only the types with an
     even number of twisted cycles are kept; H is normal in G, so each type
     lies inside or outside H and the kept sizes add up to the order of H."""
     if which not in GROUPS:

@@ -44,22 +44,22 @@ from .bigraded import (
     direct_sum,
     point,
 )
-from .group import WHICH, SignedCycleType, classes, group_order
+from .group import WHICH, classes, group_order
 
 
-def class_trace(ct: SignedCycleType,
-                table: EquivHodgeTable) -> dict[tuple[int, int], int]:
-    """Graded trace on V^(tensor n) of any element with the given type.
+def class_trace(ct: tuple, table: EquivHodgeTable) -> dict[tuple[int, int], int]:
+    """Graded trace on V^(tensor n) of any element with the signed cycle
+    type ``ct``, a tuple of (length, parity) cycles.
 
     Product over cycles (l, t) of sum_(p,q) (d_plus + (-1)^t d_minus)
     u^(lp) v^(lq), returned as {(p, q): coefficient} with zero coefficients
     dropped.  Coefficients may be negative.  Valid because the table has
     even-degree support only, so permuting tensor factors picks up no signs.
     """
-    result = {(0, 0): 1}
-    for length, parity in ct.parts:
+    entries, result = table.items(), {(0, 0): 1}
+    for length, parity in ct:
         product: dict[tuple[int, int], int] = {}
-        for (p, q), (d_plus, d_minus) in table.items():
+        for (p, q), (d_plus, d_minus) in entries:
             c = d_plus - d_minus if parity else d_plus + d_minus
             for (s, t), a in result.items():
                 key = (s + length * p, t + length * q)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from hodgekit import group
 from hodgekit.bigraded import EquivHodgeTable, HodgeTable
-from hodgekit.group import SignedCycleType
 
 
 def _dimension_for(support):
@@ -168,7 +167,8 @@ def identity(n):
 def signed_cycle_type(g):
     """The signed cycle type of g, found independently of the census: walk
     each cycle of the permutation from its smallest slot and XOR the twists
-    met on the way."""
+    met on the way; the (length, parity) cycles sorted by descending length,
+    then parity."""
     unvisited = set(range(g.n))
     parts = []
     while unvisited:
@@ -182,4 +182,4 @@ def signed_cycle_type(g):
             if slot == start:
                 break
         parts.append((length, parity))
-    return SignedCycleType(tuple(parts))
+    return tuple(sorted(parts, key=lambda part: (-part[0], part[1])))

@@ -173,6 +173,13 @@ class TestSurfaceSpecInput:
         code, _, err = run_main(capsys, "diamond", "--spec", str(path), "hilb", "2")
         assert code == 2 and "invalid JSON" in err
 
+    def test_non_utf8_spec_exits_2_naming_the_file(self, capsys, tmp_path):
+        path = tmp_path / "bin.json"
+        path.write_bytes(b"\xff")
+        code, out, err = run_main(capsys, "diamond", "--spec", str(path), "sym", "2")
+        assert code == 2 and out == ""
+        assert f"surface spec {path}: not UTF-8" in err
+
     def test_schema_error_exits_2(self, capsys, tmp_path):
         path = self.write(tmp_path, {"name": "x", "hodge": []})
         code, _, _ = run_main(capsys, "diamond", "--spec", str(path), "hilb", "2")
@@ -377,15 +384,12 @@ class TestVerifyPaper:
         return [r.check_id for r in run_paper_checks(6) if r.status == "fail"]
 
     def test_census_type_out_of_order_fails_check_011(self, monkeypatch):
-        # a type built unchecked with its parts out of order is not the type
-        # the explicit census builds
+        # a type with its parts out of order is not the type the explicit
+        # census builds
         def reverse_one(census):
-            i = next(i for i, (ct, _, _) in enumerate(census)
-                     if ct.parts[::-1] != ct.parts)
+            i = next(i for i, (ct, _, _) in enumerate(census) if ct[::-1] != ct)
             ct, size, in_h = census[i]
-            swapped = object.__new__(group.SignedCycleType)
-            group.SignedCycleType.parts.__set__(swapped, ct.parts[::-1])
-            return [*census[:i], (swapped, size, in_h), *census[i + 1:]]
+            return [*census[:i], (ct[::-1], size, in_h), *census[i + 1:]]
 
         assert self.failed_rows(monkeypatch, 3, reverse_one) == ["011-group-enum-match-n3"]
 

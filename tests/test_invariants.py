@@ -22,7 +22,6 @@ from hodgekit.bigraded import (
     point,
     tensor,
 )
-from hodgekit.group import SignedCycleType
 from hodgekit.hilbert import (
     euler_product_coefficients,
     hilbert_diamond,
@@ -83,12 +82,12 @@ def assert_same_series(got, want):
 
 class TestClassTrace:
     def test_untwisted_fixed_point_is_full_table(self):
-        tr = class_trace(SignedCycleType(((1, 0),)), k3_enriques())
+        tr = class_trace(((1, 0),), k3_enriques())
         assert tr.get((1, 1), 0) == 20
         assert tr.get((2, 0), 0) == 1
 
     def test_twisted_fixed_point_is_signed_table(self):
-        tr = class_trace(SignedCycleType(((1, 1),)), k3_enriques())
+        tr = class_trace(((1, 1),), k3_enriques())
         assert tr.get((1, 1), 0) == 0  # 10 invariant minus 10 anti-invariant
         assert (1, 1) not in tr  # zero coefficients are dropped
         assert tr.get((2, 0), 0) == -1
@@ -97,14 +96,14 @@ class TestClassTrace:
     def test_untwisted_2cycle_stretches_degrees(self):
         # (p, q) contributes at (2p, 2q); checked against the explicit swap
         # matrix on the squared basis (see test_oracle)
-        tr = class_trace(SignedCycleType(((2, 0),)), k3_enriques())
+        tr = class_trace(((2, 0),), k3_enriques())
         assert tr.get((2, 2), 0) == 20
         assert tr.get((4, 0), 0) == 1
         assert tr.get((1, 1), 0) == 0
         assert sum(c for (p, q), c in tr.items() if p + q == 4) == 22
 
     def test_identity_class_is_tensor_power(self):
-        tr = class_trace(SignedCycleType(((1, 0), (1, 0))), k3_enriques())
+        tr = class_trace(((1, 0), (1, 0)), k3_enriques())
         assert tr.get((2, 2), 0) == 404
         assert tr.get((1, 1), 0) == 40
 

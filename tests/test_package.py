@@ -25,7 +25,7 @@ def test_every_exported_name_resolves():
                                   "apply_element", "element_trace",
                                   "signed_cycle_type", "GroupElement",
                                   "enumerate_group", "transposition",
-                                  "slot_twist"])
+                                  "slot_twist", "SignedCycleType"])
 def test_removed_name_not_exported(name):
     assert name not in hodgekit.__all__
     assert not hasattr(hodgekit, name)
@@ -51,6 +51,17 @@ def test_no_assert_in_src():
              for path in sorted(src.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_instance_built_around_its_constructor():
+    # object.__new__ makes an instance that its __init__ never checked
+    src = Path(hodgekit.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "__new__"
+             and isinstance(node.value, ast.Name) and node.value.id == "object"]
     assert found == []
 
 
