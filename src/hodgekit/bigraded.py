@@ -3,15 +3,16 @@
 A :class:`HodgeTable` records the dimensions h^{p,q} of the bigraded pieces
 of the cohomology of a compact complex space; an :class:`EquivHodgeTable`
 additionally splits every piece into the +1/-1 eigenspaces of an involution.
-All dimensions are exact (arbitrary-precision) nonnegative integers, zero
-entries are never stored, and every operation returns a new table: values
-are immutable after construction.
+Both share one immutable core.  Bidegrees, dimensions and the complex
+dimension are exact nonnegative ``int`` (bool and float are refused with
+ValueError), zero entries are never stored, and every operation returns a
+new table.  An :class:`EquivHodgeTable` is checked as the two
+:class:`HodgeTable` of its eigenspaces.
 
 Supported operations: direct sum, Kunneth tensor product (a diagonal shift
 by k is the product with the one-entry table (uv)^k), Betti numbers and
-Euler characteristic.  Both table types validate their entries the same
-way: an :class:`EquivHodgeTable` is checked as the two :class:`HodgeTable`
-of its eigenspaces.
+Euler characteristic.  These take plain tables only and raise TypeError on
+a split one; call :meth:`EquivHodgeTable.forget` first.
 """
 
 from __future__ import annotations
@@ -37,14 +38,21 @@ class IntegralityViolation(ArithmeticError):
 
 
 def _validated_entries(entries, dimension):
+    if type(dimension) is not int:
+        raise ValueError(f"dimension must be an int, got {dimension!r}")
+    if dimension < 0:
+        raise ValueError(f"dimension must be nonnegative, got {dimension}")
+    bound = 2 * dimension
     clean = {}
     for key, value in entries.items():
         p, q = key
-        if not (isinstance(p, int) and isinstance(q, int)) or p < 0 or q < 0:
+        if type(p) is not int or type(q) is not int or type(value) is not int:
+            raise ValueError(f"bidegree and dimension must be int, got {key!r}: {value!r}")
+        if p < 0 or q < 0:
             raise ValueError(f"invalid bidegree {key!r}")
-        if p > 2 * dimension or q > 2 * dimension:
+        if p > bound or q > bound:
             raise ValueError(f"entry at {key!r} exceeds dimension {dimension} "
-                             f"and its weight bound {2 * dimension}")
+                             f"and its weight bound {bound}")
         if value < 0:
             raise ValueError(f"negative dimension at {key!r}")
         if value:
@@ -88,36 +96,30 @@ def _reject_odd(bidegrees) -> None:
             )
 
 
-class HodgeTable:
-    """Finitely supported map (p, q) -> dimension, plus the complex dimension.
-
-    ``table[p, q]`` returns 0 for absent entries.  Equality compares supports
-    and values only.
-    """
+class _Table:
+    """Immutable core of both table types: validated entries (p, q) -> value
+    and the complex dimension.  ``table[p, q]`` returns the subclass's
+    ``_zero`` for absent entries; equality compares supports and values only,
+    and holds only within one table type and its subclasses."""
 
     __slots__ = ("_entries", "dimension")
 
-    def __init__(self, entries: Mapping[tuple[int, int], int], dimension: int):
-        if dimension < 0:
-            raise ValueError(f"dimension must be nonnegative, got {dimension}")
+    def __init__(self, entries, dimension):
+        object.__setattr__(self, "_entries", entries)
         object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "_entries", _validated_entries(entries, dimension))
 
     def __setattr__(self, name, value):
-        raise AttributeError("HodgeTable is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        return self._entries.get(key, 0)
+    def __getitem__(self, key):
+        return self._entries.get(key, self._zero)
 
-    def items(self) -> list[tuple[tuple[int, int], int]]:
-        """Entries as a sorted list of ((p, q), dim) pairs."""
+    def items(self):
+        """Entries as a sorted list of ((p, q), value) pairs."""
         return sorted(self._entries.items())
 
-    def support(self) -> list[tuple[int, int]]:
-        return sorted(self._entries)
-
     def __eq__(self, other) -> bool:
-        if not isinstance(other, HodgeTable):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self._entries == other._entries
 
@@ -125,7 +127,20 @@ class HodgeTable:
         return hash(frozenset(self._entries.items()))
 
     def __repr__(self):
-        return f"HodgeTable({dict(self.items())!r}, dimension={self.dimension})"
+        return f"{type(self).__name__}({dict(self.items())!r}, dimension={self.dimension})"
+
+
+class HodgeTable(_Table):
+    """Finitely supported map (p, q) -> dimension, plus the complex dimension."""
+
+    __slots__ = ()
+    _zero = 0
+
+    def __init__(self, entries: Mapping[tuple[int, int], int], dimension: int):
+        super().__init__(_validated_entries(entries, dimension), dimension)
+
+    def support(self) -> list[tuple[int, int]]:
+        return sorted(self._entries)
 
     def total_dim(self) -> int:
         """Sum of all stored dimensions (dimension of total cohomology)."""
@@ -140,7 +155,7 @@ class HodgeTable:
         return sum((-1) ** (p + q) * d for (p, q), d in self._entries.items())
 
 
-class EquivHodgeTable:
+class EquivHodgeTable(_Table):
     """Bigraded table split by an involution: (p, q) -> (d_plus, d_minus).
 
     Only even total degrees are allowed; summing the split recovers a plain
@@ -148,47 +163,25 @@ class EquivHodgeTable:
     as a :class:`HodgeTable` of the same dimension.
     """
 
-    __slots__ = ("_entries", "dimension", "_plus", "_minus")
+    __slots__ = ("_plus", "_minus")
+    _zero = (0, 0)
 
     def __init__(self, entries: Mapping[tuple[int, int], tuple[int, int]],
                  dimension: int):
         _reject_odd(entries)
         plus = HodgeTable({pq: dp for pq, (dp, _) in entries.items()}, dimension)
         minus = HodgeTable({pq: dm for pq, (_, dm) in entries.items()}, dimension)
-        object.__setattr__(self, "dimension", dimension)
+        super().__init__({pq: (plus[pq], minus[pq]) for pq in entries
+                          if plus[pq] or minus[pq]}, dimension)
         object.__setattr__(self, "_plus", plus)
         object.__setattr__(self, "_minus", minus)
-        object.__setattr__(self, "_entries", {
-            pq: (plus[pq], minus[pq]) for pq in entries if plus[pq] or minus[pq]})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EquivHodgeTable is immutable")
-
-    def __getitem__(self, key: tuple[int, int]) -> tuple[int, int]:
-        return self._entries.get(key, (0, 0))
-
-    def items(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        return sorted(self._entries.items())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EquivHodgeTable):
-            return NotImplemented
-        return self._entries == other._entries
-
-    def __hash__(self):
-        return hash(frozenset(self._entries.items()))
-
-    def __repr__(self):
-        return f"EquivHodgeTable({dict(self.items())!r}, dimension={self.dimension})"
 
     def total_dim(self) -> int:
-        return sum(dp + dm for dp, dm in self._entries.values())
+        return self._plus.total_dim() + self._minus.total_dim()
 
     def forget(self) -> HodgeTable:
         """Drop the eigenspace split: (p, q) -> d_plus + d_minus."""
-        return HodgeTable(
-            {pq: dp + dm for pq, (dp, dm) in self._entries.items()}, self.dimension
-        )
+        return direct_sum(self._plus, self._minus)
 
     def plus_part(self) -> HodgeTable:
         """Table of the +1 eigenspaces (the quotient's cohomology)."""
@@ -205,6 +198,8 @@ class EquivHodgeTable:
 
 def direct_sum(a: HodgeTable, b: HodgeTable) -> HodgeTable:
     """Entrywise sum; the dimension is the maximum of the two."""
+    _require_plain(a)
+    _require_plain(b)
     entries = dict(a._entries)
     for pq, d in b._entries.items():
         entries[pq] = entries.get(pq, 0) + d
@@ -216,6 +211,8 @@ def tensor(a: HodgeTable, b: HodgeTable) -> HodgeTable:
 
     Both factors must have even-degree support only, so no Koszul signs arise.
     """
+    _require_plain(a)
+    _require_plain(b)
     _reject_odd(a._entries)
     _reject_odd(b._entries)
     entries: dict[tuple[int, int], int] = {}

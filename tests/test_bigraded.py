@@ -177,6 +177,91 @@ class TestTableContracts:
         assert EquivHodgeTable.trivial_split(enriques()).forget() == enriques()
 
 
+class TestTableCore:
+    """Behaviour both table types take from their one shared core."""
+
+    PLAIN = HodgeTable({(0, 0): 1, (1, 1): 20, (2, 2): 1}, 2)
+    SPLIT = EquivHodgeTable({(0, 0): (1, 0), (1, 1): (10, 10), (2, 2): (1, 0)}, 2)
+
+    @pytest.mark.parametrize("t, zero", [(PLAIN, 0), (SPLIT, (0, 0))],
+                             ids=["plain", "split"])
+    def test_shared_contract(self, t, zero):
+        cls = type(t)
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            t.dimension = 7
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            t._entries = {}
+        assert t[0, 2] == zero and t[2, 0] == zero
+        assert [pq for pq, _ in t.items()] == [(0, 0), (1, 1), (2, 2)]
+        raised = cls(dict(t.items()), 3)
+        assert raised == t and raised.dimension == 3
+        assert hash(raised) == hash(t)
+        assert {t: "a", raised: "b"} == {t: "b"}
+        assert t != cls({(0, 0): t[0, 0]}, 2)
+
+        class Sub(cls):
+            __slots__ = ()
+
+        sub = Sub(dict(t.items()), 2)
+        assert sub == t and t == sub and hash(sub) == hash(t)
+        assert eval(repr(t)) == t
+        assert repr(t).startswith(f"{cls.__name__}({{(0, 0): ")
+
+    def test_plain_never_equals_split(self):
+        empty_plain, empty_split = HodgeTable({}, 0), EquivHodgeTable({}, 0)
+        assert empty_plain != empty_split and empty_split != empty_plain
+        assert self.SPLIT.forget() != self.SPLIT
+        assert EquivHodgeTable.trivial_split(self.PLAIN) != self.PLAIN
+        assert len({empty_plain, empty_split}) == 2
+
+    def test_split_parts_and_sums(self):
+        assert self.SPLIT.forget() == HodgeTable({(0, 0): 1, (1, 1): 20, (2, 2): 1}, 2)
+        assert self.SPLIT.forget().dimension == 2
+        assert self.SPLIT.total_dim() == 22 == self.SPLIT.forget().total_dim()
+        assert self.SPLIT.plus_part() == enriques()
+        assert self.SPLIT.minus_part() == HodgeTable({(1, 1): 10}, 2)
+
+
+class TestExactIntegers:
+    """Bidegrees, values and the dimension are exact ints in both table types."""
+
+    @pytest.mark.parametrize("entries, dimension, named", [
+        ({(0, 0): 1.5, (1, 1): 1, (2, 2): 1.5}, 2, "(0, 0): 1.5"),
+        ({(0, 0): True}, 0, "(0, 0): True"),
+        ({(0, 0): 1}, 1.5, "got 1.5"),
+        ({(0, 0): 1}, True, "got True"),
+        ({(True, 0): 1}, 1, "(True, 0): 1"),
+        ({(0, 2.0): 1}, 1, "(0, 2.0): 1"),
+        ({("0", 0): 1}, 1, "('0', 0): 1"),
+    ], ids=["float-value", "bool-value", "float-dim", "bool-dim", "bool-key",
+            "float-key", "str-key"])
+    def test_plain_refuses_non_int(self, entries, dimension, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            HodgeTable(entries, dimension)
+
+    @pytest.mark.parametrize("entries, dimension, named", [
+        ({(0, 0): (1.5, 0)}, 2, "(0, 0): 1.5"),
+        ({(1, 1): (1, True)}, 1, "(1, 1): True"),
+        ({(0, 0): (1, 0)}, 1.5, "got 1.5"),
+        ({(0, 0): (1, 0)}, True, "got True"),
+        ({(True, 1): (1, 0)}, 1, "(True, 1): 1"),
+    ], ids=["float-plus", "bool-minus", "float-dim", "bool-dim", "bool-key"])
+    def test_split_refuses_non_int(self, entries, dimension, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            EquivHodgeTable(entries, dimension)
+
+
+class TestPlainOperandsOnly:
+    @pytest.mark.parametrize("op", [direct_sum, tensor], ids=["direct_sum", "tensor"])
+    @pytest.mark.parametrize("a, b", [
+        (k3, k3_enriques), (k3_enriques, k3), (k3_enriques, k3_enriques),
+    ], ids=["plain-split", "split-plain", "split-split"])
+    def test_split_operand_refused(self, op, a, b):
+        with pytest.raises(TypeError, match=re.escape(
+                "need a plain HodgeTable, got EquivHodgeTable; call .forget()")):
+            op(a(), b())
+
+
 class TestSurfaceSpecFormat:
     def test_parse_roundtrip(self):
         doc = {

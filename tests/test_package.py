@@ -83,6 +83,26 @@ def test_every_src_definition_is_used():
     assert [d for d in defined if d.split(":")[1] not in used] == []
 
 
+def test_no_two_src_functions_share_a_body():
+    # a body copied into a second function is one fix that must be made twice
+    src = Path(hodgekit.__file__).parent
+    seen, copies = {}, []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            body = node.body
+            if ast.get_docstring(node) is not None:
+                body = body[1:]
+            dump = ast.dump(ast.Module(body=body, type_ignores=[]))
+            where = f"{path.name}:{node.lineno}"
+            if dump in seen:
+                copies.append((seen[dump], where))
+            else:
+                seen[dump] = where
+    assert copies == []
+
+
 AUDIT_ENTRIES = ["class_sum_dims", "class_trace", "classes", "projector_tables",
                  "element_census", "euler_product_coefficients", "exceptional_orbits",
                  "cover_diamond_n2"]
