@@ -116,7 +116,8 @@ class _Table:
 
     def items(self):
         """Entries as a sorted list of ((p, q), value) pairs."""
-        return sorted(self._entries.items())
+        entries = self._entries  # sorting keys alone skips comparing pairs
+        return [(pq, entries[pq]) for pq in sorted(entries)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
@@ -168,6 +169,10 @@ class EquivHodgeTable(_Table):
 
     def __init__(self, entries: Mapping[tuple[int, int], tuple[int, int]],
                  dimension: int):
+        for (p, q), value in entries.items():  # key types first, then odd degrees
+            if type(p) is not int or type(q) is not int:
+                raise ValueError(f"bidegree and dimension must be int, "
+                                 f"got {(p, q)!r}: {value[0]!r}")
         _reject_odd(entries)
         plus = HodgeTable({pq: dp for pq, (dp, _) in entries.items()}, dimension)
         minus = HodgeTable({pq: dm for pq, (_, dm) in entries.items()}, dimension)

@@ -380,9 +380,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built by the first main call, not at import
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (OddCohomologyUnsupported, TooLarge) as exc:

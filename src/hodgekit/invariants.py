@@ -33,7 +33,7 @@ the negative coefficients a single trace can have.
 
 from __future__ import annotations
 
-from itertools import compress, count
+from itertools import compress
 
 from .bigraded import (
     EquivHodgeTable,
@@ -108,7 +108,8 @@ def _newton(terms: list[dict[tuple[int, int], int]], dimension: int,
     acc is exactly m * w and none hides a remainder.  A failed test raises
     IntegralityViolation naming the first slot that m does not divide.  A
     joined X_m passes the same bound test, and only returned coefficients
-    are decoded into validated tables."""
+    are decoded into validated tables: one pass over the slots, read as
+    64-bit words when a slot is one word, keeps the nonzero ones."""
     _reject_odd(pq for term in terms for pq in term)
     n, dims, totals = len(terms), [sum(t.values()) for t in terms], [1]
     for m in range(1, n + 1):
@@ -133,11 +134,11 @@ def _newton(terms: list[dict[tuple[int, int], int]], dimension: int,
 
     def slots(value, base, width=width, reach=reach):
         raw = value.to_bytes(-(-value.bit_length() // bits) * size, "little")
-        for slot in dict.fromkeys(i // words for i in
-                                  compress(count(), memoryview(raw).cast("Q"))):
-            d, e = divmod(slot + base // bits, width)
-            yield ((d + e - reach, d - e + reach),
-                   int.from_bytes(raw[slot * size:slot * size + size], "little"))
+        coeffs = memoryview(raw).cast("Q") if words == 1 else [
+            int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+        for slot, c in compress(enumerate(coeffs, base // bits), coeffs):
+            d, e = divmod(slot, width)
+            yield (d + e - reach, d - e + reach), c
 
     def series(shifts, width, reach):
         packed = [(1, reach * bits)]

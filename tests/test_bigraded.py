@@ -250,6 +250,18 @@ class TestExactIntegers:
         with pytest.raises(ValueError, match=re.escape(named)):
             EquivHodgeTable(entries, dimension)
 
+    @pytest.mark.parametrize("entries, error, named", [
+        ({("a", 0): (1, 0)}, ValueError, "must be int, got ('a', 0): 1"),
+        ({(0.5, 0.5): (1, 0)}, ValueError, "must be int, got (0.5, 0.5): 1"),
+        ({(5, 0): (1, 0)}, OddCohomologyUnsupported, "odd total degree at (5, 0)"),
+    ], ids=["str-key", "float-key", "odd-out-of-range"])
+    def test_split_checks_key_types_before_odd_degrees(self, entries, error, named):
+        # an int key of odd degree is refused as odd even out of range, so a
+        # spec's odd row is still its first refusal
+        with pytest.raises(error, match=re.escape(named)) as exc:
+            EquivHodgeTable(entries, 1)
+        assert exc.type is error
+
 
 class TestPlainOperandsOnly:
     @pytest.mark.parametrize("op", [direct_sum, tensor], ids=["direct_sum", "tensor"])

@@ -20,6 +20,8 @@ from hodgekit.bigraded import (
 from hodgekit.cli import main, run_paper_checks
 from hodgekit.hilbert import hilbert_diamond
 
+from golden.capture import GOLDEN_DIR, cases
+
 
 def run_main(capsys, *argv):
     code = main(list(argv))
@@ -140,6 +142,54 @@ class TestRenderResultsJson:
     def test_matches_json_dumps(self, results):
         assert (cli._render_results(results, "json")
                 == json.dumps([r._asdict() for r in results], indent=2, sort_keys=True))
+
+
+class TestSharedParser:
+    """main builds its parser on the first call and parses every later argv
+    with it afresh: no option, default or error carries over."""
+
+    @staticmethod
+    def golden(name):
+        return (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+    def test_commands_in_one_process_match_goldens(self, capsys):
+        argvs = dict(cases())
+        for name in ("diamond-enriques-hilb-14.json", "verify-paper-n6.json",
+                     "diamond-k3_enriques-quotient-H-5.txt",
+                     "diamond-enriques-hilb-14.json"):
+            assert run_main(capsys, *argvs[name])[:2] == (0, self.golden(name))
+
+    def test_defaults_do_not_leak(self, capsys):
+        spec = GOLDEN_DIR / "specs" / "seeded-surface-3.json"
+        code, out, _ = run_main(capsys, "diamond", "--format", "json", "--spec",
+                                str(spec), "sym", "1")
+        assert code == 0 and json.loads(out)["name"] == "sym 1 of seeded-surface-3"
+        code, out, _ = run_main(capsys, "diamond", "sym", "1")
+        want = cli._render_hodge("sym 1 of k3_enriques",
+                                 preset("k3_enriques").forget(), "table")
+        assert (code, out) == (0, want + "\n")
+
+    def test_usage_error_leaves_the_parser_usable(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["diamond", "frobnicate", "2"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+        name = "diamond-k3_enriques-quotient-H-5.txt"
+        assert run_main(capsys, *dict(cases())[name])[:2] == (0, self.golden(name))
+
+    def test_main_builds_one_parser(self, capsys, monkeypatch):
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(None) or build())
+        run_main(capsys, "diamond", "--preset", "enriques", "sym", "2")
+        with pytest.raises(SystemExit):
+            main(["diamond", "frobnicate", "2"])
+        run_main(capsys, "verify-paper", "--n-max", "2")
+        run_main(capsys, "diamond", "--format", "csv", "hilb", "2")
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
 
 
 class TestSurfaceSpecInput:

@@ -258,6 +258,21 @@ class TestNewtonKernel:
         assert_same_series(xs, reference_newton(terms, 2))
         assert max(d.bit_length() for _, d in xs[3].items()) > 64
 
+    def test_two_word_slots_from_a_nonzero_base(self):
+        # no (0, 0) entry, so every X_m starts past slot 0; every weight is
+        # odd, so Sym^3 has weights 3, 5, 7, 9 and empty slots between; and
+        # (2^40)^2 needs two 64-bit words a slot; (4, 2), (2, 4) add the
+        # off-diagonal series and its join
+        surface = HodgeTable({(1, 1): 2 ** 40, (3, 3): 1, (4, 2): 1, (2, 4): 1}, 3)
+        terms = [adams(surface, k) for k in range(1, 4)]
+        xs, want = sym_powers(surface, 3), reference_newton(terms, 3)
+        for got, expected in zip(xs, want):
+            assert got.items() == expected.items()
+            assert got.dimension == expected.dimension
+        weights = {(p + q) // 2 for p, q in xs[3].support()}
+        assert weights == {3, 5, 7, 9}
+        assert max(d.bit_length() for _, d in xs[3].items()) > 64
+
     def test_slot_width_boundary(self):
         # total(Sym^3) < 2^64 <= 3 * total(Sym^3): the step's sums need a
         # second word although every coefficient fits in one

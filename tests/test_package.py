@@ -44,6 +44,24 @@ def test_cli_import_loads_only_what_runs():
     assert done.stdout.split() == []
 
 
+def test_cli_import_builds_no_parser():
+    # main builds its parser on first use; built at import, it would be
+    # paid by every library user and every process that never calls main
+    src = Path(hodgekit.__file__).resolve().parent.parent
+    code = ("import argparse, sys; sys.path.insert(0, sys.argv[1]); built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(None)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import hodgekit.cli\n"
+            "print(len(built))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"]
+
+
 def test_no_assert_in_src():
     # python -O strips assert statements, so internal invariants must raise
     src = Path(hodgekit.__file__).parent
