@@ -116,8 +116,7 @@ class _Table:
 
     def items(self):
         """Entries as a sorted list of ((p, q), value) pairs."""
-        entries = self._entries  # sorting keys alone skips comparing pairs
-        return [(pq, entries[pq]) for pq in sorted(entries)]
+        return sorted(self._entries.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
@@ -169,11 +168,8 @@ class EquivHodgeTable(_Table):
 
     def __init__(self, entries: Mapping[tuple[int, int], tuple[int, int]],
                  dimension: int):
-        for (p, q), value in entries.items():  # key types first, then odd degrees
-            if type(p) is not int or type(q) is not int:
-                raise ValueError(f"bidegree and dimension must be int, "
-                                 f"got {(p, q)!r}: {value[0]!r}")
-        _reject_odd(entries)
+        # a non-int key is left to the + eigenspace's check, which names it
+        _reject_odd(pq for pq in entries if type(pq[0]) is int and type(pq[1]) is int)
         plus = HodgeTable({pq: dp for pq, (dp, _) in entries.items()}, dimension)
         minus = HodgeTable({pq: dm for pq, (_, dm) in entries.items()}, dimension)
         super().__init__({pq: (plus[pq], minus[pq]) for pq in entries

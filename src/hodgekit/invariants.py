@@ -33,6 +33,7 @@ the negative coefficients a single trace can have.
 
 from __future__ import annotations
 
+import sys
 from itertools import compress
 
 from .bigraded import (
@@ -109,7 +110,8 @@ def _newton(terms: list[dict[tuple[int, int], int]], dimension: int,
     IntegralityViolation naming the first slot that m does not divide.  A
     joined X_m passes the same bound test, and only returned coefficients
     are decoded into validated tables: one pass over the slots, read as
-    64-bit words when a slot is one word, keeps the nonzero ones."""
+    native 64-bit words when a slot is one word on a little-endian host and
+    by int.from_bytes otherwise, keeps the nonzero ones."""
     _reject_odd(pq for term in terms for pq in term)
     n, dims, totals = len(terms), [sum(t.values()) for t in terms], [1]
     for m in range(1, n + 1):
@@ -131,10 +133,11 @@ def _newton(terms: list[dict[tuple[int, int], int]], dimension: int,
         b.sort()
     mask = int.from_bytes(((1 << bits) - (1 << top)).to_bytes(size, "little")
                           * ((weight + 1) * width), "little")
+    native = words == 1 and sys.byteorder == "little"  # a slot is one native word
 
     def slots(value, base, width=width, reach=reach):
         raw = value.to_bytes(-(-value.bit_length() // bits) * size, "little")
-        coeffs = memoryview(raw).cast("Q") if words == 1 else [
+        coeffs = memoryview(raw).cast("Q") if native else [
             int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
         for slot, c in compress(enumerate(coeffs, base // bits), coeffs):
             d, e = divmod(slot, width)

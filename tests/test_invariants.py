@@ -2,7 +2,9 @@
 route and its traces, symmetric products."""
 
 import math
+from array import array
 from functools import reduce
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -249,6 +251,19 @@ class TestNewtonKernel:
     def test_hilbert_series_equal_reference(self, surface):
         terms = [log_term(surface, j) for j in range(1, 13)]
         assert_same_series(hilbert_series(surface, 12), reference_newton(terms, 2))
+
+    def test_one_word_slots_on_a_big_endian_host(self, monkeypatch):
+        # such a host's cast would read each little-endian word byte-swapped,
+        # so there one-word slots take the int.from_bytes route of wider ones
+        def big_endian(raw):
+            swapped = array("Q", raw)
+            swapped.byteswap()
+            return memoryview(swapped).cast("B")
+
+        monkeypatch.setattr(mod, "sys", SimpleNamespace(byteorder="big"))
+        monkeypatch.setattr(mod, "memoryview", big_endian, raising=False)
+        terms = [log_term(k3(), j) for j in range(1, 13)]
+        assert_same_series(hilbert_series(k3(), 12), reference_newton(terms, 2))
 
     def test_multi_word_slots(self):
         # h^{1,1} = 2^40: the Sym^3 coefficients need two 64-bit words a slot
