@@ -35,8 +35,14 @@ SPEC_CASES = (("seeded-threefold-1", (("quotient", "10", "H"),
 
 def cases() -> list[tuple[str, list[str]]]:
     """(golden file name, CLI argv) for every captured output."""
-    out = [("verify-paper-n6.json",
+    out = [# The smallest --n-max, and n = 8, whose rows still hold checks
+           # 011 and 012 (n <= 5) and the oracle rows beside the census.
+           ("verify-paper-n2.json",
+            ["verify-paper", "--n-max", "2", "--format", "json"]),
+           ("verify-paper-n6.json",
             ["verify-paper", "--n-max", "6", "--format", "json"]),
+           ("verify-paper-n8.json",
+            ["verify-paper", "--n-max", "8", "--format", "json"]),
            ("verify-paper-n12.json",
             ["verify-paper", "--n-max", "12", "--format", "json"]),
            # The largest --n-max: the census rows for n = 13..20.
@@ -47,6 +53,10 @@ def cases() -> list[tuple[str, list[str]]]:
             ["verify-paper", "--n-max", "6", "--format", "csv"]),
            ("verify-paper-n6.txt",
             ["verify-paper", "--n-max", "6", "--format", "table"]),
+           ("verify-paper-n20.csv",
+            ["verify-paper", "--n-max", "20", "--format", "csv"]),
+           ("verify-paper-n20.txt",
+            ["verify-paper", "--n-max", "20", "--format", "table"]),
            ("diamond-k3_enriques-cover-2.csv",
             ["diamond", "--preset", "k3_enriques", "--format", "csv",
              "cover", "2"]),
