@@ -70,13 +70,15 @@ def _check_work(n: int, which: str, labels: int | None = None) -> None:
             raise TooLarge(f"{what} at n = {n} exceed the work guard {WORK_GUARD}")
 
 
-def _elements(n: int, which: str) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Every element of G, H or S_n as a (perm, mask) pair, in a fixed order.
+def _elements(n: int, which: str) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Every element of G, H or S_n: each permutation once, in
+    itertools.permutations order, with the one list of twist masks that
+    every permutation pairs with.
 
-    ``perm`` maps slot m to slot perm[m] (0-based); bit m of ``mask`` is set
-    when the involution is applied in slot m before permuting.  S_n is the
-    permutations with zero twist.  Refused by :func:`_check_work` before
-    anything is yielded.
+    ``perm`` maps slot m to slot perm[m] (0-based); bit m of a mask is set
+    when the involution is applied in slot m before permuting.  The masks
+    are 0 alone for S_n, the even-popcount ones for H and all for G.
+    Refused by :func:`_check_work` before anything is yielded.
     """
     if which not in WHICH:
         raise ValueError(f"which must be one of {WHICH}, got {which!r}")
@@ -86,8 +88,7 @@ def _elements(n: int, which: str) -> Iterator[tuple[tuple[int, ...], int]]:
     twists = [(0,) * n] if which == "Sn" else [
         t for t in itertools.product((0, 1), repeat=n) if which == "G" or sum(t) % 2 == 0]
     masks = [sum(t << m for m, t in enumerate(twist)) for twist in twists]
-    return ((perm, mask) for perm in itertools.permutations(range(n))
-            for mask in masks)
+    return ((perm, masks) for perm in itertools.permutations(range(n)))
 
 
 def element_census(n: int, which: str) -> list[tuple[tuple, int]]:
@@ -100,14 +101,13 @@ def element_census(n: int, which: str) -> list[tuple[tuple, int]]:
     """
     raw: dict[tuple[tuple[int, int], ...], int] = {}
     visited = 0
-    last = cycles = None
-    for perm, mask in _elements(n, which):
-        if perm != last:
-            last, cycles = perm, _cycles(perm)
-        parts = tuple([(length, (mask & slots).bit_count() & 1)
-                       for length, slots in cycles])
-        raw[parts] = raw.get(parts, 0) + 1
-        visited += 1
+    for perm, masks in _elements(n, which):
+        cycles = _cycles(perm)
+        for mask in masks:
+            parts = tuple([(length, (mask & slots).bit_count() & 1)
+                           for length, slots in cycles])
+            raw[parts] = raw.get(parts, 0) + 1
+            visited += 1
     if visited != group_order(n, which):
         raise IntegralityViolation(
             f"{visited} elements tallied for {which} at n = {n}, "

@@ -16,13 +16,13 @@ from .bigraded import HodgeTable, _require_plain, _require_surface
 from .invariants import _newton, _power_terms
 
 
-def _goettsche(surface: HodgeTable, n_max: int, last_only: bool) -> list[HodgeTable]:
+def _goettsche(surface: HodgeTable, n_max: int):
     _require_plain(surface)
     _require_surface(surface, "Hilbert schemes need a surface", 2)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     seeds = ({(p + k, q + k): c for (p, q), c in surface.items()} for k in range(n_max))
-    return _newton(_power_terms(seeds, n_max), surface.dimension, last_only)
+    return _newton(_power_terms(seeds, n_max), surface.dimension)
 
 
 def hilbert_series(surface: HodgeTable, n_max: int) -> list[HodgeTable]:
@@ -31,7 +31,7 @@ def hilbert_series(surface: HodgeTable, n_max: int) -> list[HodgeTable]:
     any term is built, raises TypeError for a split table and ValueError for
     a non-surface (dimension 2, entries within it, Hodge symmetry, Serre
     duality): the product holds for surfaces only."""
-    return _goettsche(surface, n_max, False)
+    return list(map(_goettsche(surface, n_max), range(n_max + 1)))
 
 
 def hilbert_diamond(surface: HodgeTable, n: int) -> HodgeTable:
@@ -40,7 +40,7 @@ def hilbert_diamond(surface: HodgeTable, n: int) -> HodgeTable:
     non-surface as :func:`hilbert_series` does."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _goettsche(surface, n, True)[-1]
+    return _goettsche(surface, n)(n)
 
 
 def euler_product_coefficients(e: int, n_max: int) -> list[int]:

@@ -16,7 +16,7 @@ kernel packs each coefficient into one integer, so a step adds shifted
 multiples of integers and one exact test on them checks every division by
 m.  As PE[A + B] = PE[A] * PE[B], it runs the diagonal entries (p = q) with
 one slot per weight and the rest on their own, and joins the two series
-only in the coefficients a caller returns: Sym^n alone for Sym^n.  This
+only in the coefficients a caller reads: Sym^n alone for Sym^n.  This
 yields quotient cohomology and symmetric products.
 
 Audit route, sharing no arithmetic with production: :func:`class_sum_dims`
@@ -43,7 +43,6 @@ from .bigraded import (
     _reject_odd,
     _require_plain,
     direct_sum,
-    point,
 )
 from .group import WHICH, classes, group_order
 
@@ -83,9 +82,8 @@ def _power_terms(seeds, n: int) -> list[dict[tuple[int, int], int]]:
     return terms
 
 
-def _newton(terms: list[dict[tuple[int, int], int]], dimension: int,
-            last_only: bool = False) -> list[HodgeTable]:
-    """X_0..X_len(terms), or [X_n] alone when last_only, from
+def _newton(terms: list[dict[tuple[int, int], int]], dimension: int):
+    """coefficient(m), the decoder of X_m for 0 <= m <= len(terms), from
     m * X_m = sum_{j=1..m} terms[j-1] * X_(m-j), with X_0 the point, X_m of
     dimension m * dimension and each term a {(p, q): c} dict, c >= 0.  Odd
     degrees are rejected once, before any product: every X_m's support is a
@@ -107,11 +105,11 @@ def _newton(terms: list[dict[tuple[int, int], int]], dimension: int,
     packed, accepted when acc % m == 0 and no slot of quo has a bit at or
     above top: then m * w < 2^bits for every slot w of quo, so every slot of
     acc is exactly m * w and none hides a remainder.  A failed test raises
-    IntegralityViolation naming the first slot that m does not divide.  A
-    joined X_m passes the same bound test, and only returned coefficients
-    are decoded into validated tables: one pass over the slots, read as
-    native 64-bit words when a slot is one word on a little-endian host and
-    by int.from_bytes otherwise, keeps the nonzero ones."""
+    IntegralityViolation naming the first slot that m does not divide.  Both
+    series run once, here; X_m is joined, passes the same bound test and is
+    decoded into a validated table only when read.  One reader gives the
+    slots of F_i to the join and of X_m to the decoder: native 64-bit words
+    when a slot is one word on a little-endian host, else int.from_bytes."""
     _reject_odd(pq for term in terms for pq in term)
     n, dims, totals = len(terms), [sum(t.values()) for t in terms], [1]
     for m in range(1, n + 1):
@@ -135,10 +133,13 @@ def _newton(terms: list[dict[tuple[int, int], int]], dimension: int,
                           * ((weight + 1) * width), "little")
     native = words == 1 and sys.byteorder == "little"  # a slot is one native word
 
-    def slots(value, base, width=width, reach=reach):
+    def read(value):
         raw = value.to_bytes(-(-value.bit_length() // bits) * size, "little")
-        coeffs = memoryview(raw).cast("Q") if native else [
+        return memoryview(raw).cast("Q") if native else [
             int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+
+    def slots(value, base, width=width, reach=reach):
+        coeffs = read(value)
         for slot, c in compress(enumerate(coeffs, base // bits), coeffs):
             d, e = divmod(slot, width)
             yield (d + e - reach, d - e + reach), c
@@ -165,11 +166,10 @@ def _newton(terms: list[dict[tuple[int, int], int]], dimension: int,
     if reach:
         ls = series(off, width, reach)
         # F_i as a shift list: its weight d moves L_(m-i) up d rows of W slots
-        rows = [[((b // bits + d) * width * bits, f)
-                 for d in range(-(-x.bit_length() // bits))
-                 if (f := x >> d * bits & (1 << bits) - 1)] for x, b in fs]
-    xs = [point()] if n == 0 or not last_only else []
-    for m in range(max(n, 1) if last_only else 1, n + 1):
+        rows = [[((b // bits + d) * width * bits, f) for d, f in enumerate(read(x)) if f]
+                for x, b in fs]
+
+    def coefficient(m):
         acc, base = fs[m]
         if reach:
             # a binary counter of partial sums, in order of offset: none spans
@@ -188,15 +188,15 @@ def _newton(terms: list[dict[tuple[int, int], int]], dimension: int,
             if acc & mask:
                 raise IntegralityViolation(f"Newton coefficient {m}: a slot reaches "
                                            f"2^{top}, past the bound from total dimensions")
-        xs.append(HodgeTable(dict(slots(acc, base)), m * dimension))
-    return xs
+        return HodgeTable(dict(slots(acc, base)), m * dimension)
+    return coefficient
 
 
-def _symmetric(surface: HodgeTable, n: int, last_only: bool) -> list[HodgeTable]:
+def _symmetric(surface: HodgeTable, n: int):
     _require_plain(surface)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return _newton(_power_terms([surface], n), surface.dimension, last_only)
+    return _newton(_power_terms([surface], n), surface.dimension)
 
 
 def sym_powers(surface: HodgeTable, n: int) -> list[HodgeTable]:
@@ -204,22 +204,19 @@ def sym_powers(surface: HodgeTable, n: int) -> list[HodgeTable]:
     m * S_m = sum_{k=1..m} psi^k(V) * S_(m-k) (Macdonald, The Poincare
     polynomial of a symmetric product, 1962).  A remainder in any division
     by m raises IntegralityViolation; a split table raises TypeError."""
-    return _symmetric(surface, n, False)
+    return list(map(_symmetric(surface, n), range(n + 1)))
 
 
-def _invariants(table, n: int, which: str, last_only: bool) -> list[HodgeTable]:
+def _invariants(table, n: int, which: str):
     if which not in WHICH:
         raise ValueError(f"which must be one of {WHICH}, got {which!r}")
-    if n < 1:
-        raise ValueError(f"{'n' if last_only else 'n_max'} must be >= 1, got {n}")
     if which == "Sn":
-        return _symmetric(table.forget(), n, last_only)
-    plus = _symmetric(table.plus_part(), n, last_only)
+        return _symmetric(table.forget(), n)
+    plus = _symmetric(table.plus_part(), n)
     if which == "G":
         return plus
-    minus = _symmetric(table.minus_part(), n, last_only)
-    skip = 0 if last_only else 1  # V^(tensor 0) is the point, not two
-    return plus[:skip] + [direct_sum(a, b) for a, b in zip(plus[skip:], minus[skip:])]
+    minus = _symmetric(table.minus_part(), n)
+    return lambda m: direct_sum(plus(m), minus(m)) if m else plus(m)  # one point at 0
 
 
 def invariant_dims(table: EquivHodgeTable, n: int, which: str) -> HodgeTable:
@@ -230,12 +227,16 @@ def invariant_dims(table: EquivHodgeTable, n: int, which: str) -> HodgeTable:
     is Sym^n(V) for "Sn", Sym^n(V_+) for "G" and Sym^n(V_+) (+) Sym^n(V_-)
     for "H".
     """
-    return _invariants(table, n, which, True)[-1]
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return _invariants(table, n, which)(n)
 
 
 def invariant_series(table: EquivHodgeTable, n_max: int, which: str) -> list[HodgeTable]:
     """:func:`invariant_dims` at n = 0..n_max (the point at 0), from one series."""
-    return _invariants(table, n_max, which, False)
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    return list(map(_invariants(table, n_max, which), range(n_max + 1)))
 
 
 def class_sum_dims(table: EquivHodgeTable, n: int, which: str) -> HodgeTable:
@@ -266,4 +267,4 @@ def class_sum_dims(table: EquivHodgeTable, n: int, which: str) -> HodgeTable:
 
 def sym_product(surface: HodgeTable, m: int) -> HodgeTable:
     """Hodge diamond of the m-th symmetric product; m = 0 gives the point."""
-    return _symmetric(surface, m, True)[-1]
+    return _symmetric(surface, m)(m)

@@ -4,11 +4,12 @@ Builds an explicit labeled basis of the n-th tensor power, applies group
 elements as signed permutations of basis labels, and reads invariant
 dimensions off the averaging projector: per bidegree, the average over the
 group of the signed count of fixed labels.  G is enumerated once per n,
-every element as a permutation and a twist bitmask.  A permutation fixes no
+each permutation once with its twist bitmasks.  A permutation fixes no
 label of a kind that differs from itself at a moved slot; every label of
 every other kind is compared explicitly.  Fixed counts are merged by sign
-key, and every element signs them straight into the bidegree sums of each
-group containing it (G always, H for an even twist count, Sn for none).
+key once per permutation, and every element signs them straight into the
+bidegree sums of each group containing it (G always, H for an even twist
+count, Sn for none).
 Deliberately shares no code with the symmetric-power production route or
 the class-sum audit route.
 """
@@ -114,20 +115,18 @@ def projector_tables(table: EquivHodgeTable, n: int) -> dict[str, HodgeTable]:
     _check_work(n, "G", table.total_dim())
     basis = _keyed_basis(table, n)
     keys = _sign_keys(basis)
-    counts_by_perm: dict[tuple[int, ...], dict[_SignKey, int]] = {}
     sums: dict[str, dict[tuple[int, int], int]] = {which: {} for which in WHICH}
     credited = dict.fromkeys(WHICH, 0)
-    for perm, mask in _elements(n, "G"):
-        if perm not in counts_by_perm:
-            merged: dict[_SignKey, int] = {}
-            for kind, count in _fixed_counts(perm, basis).items():
-                merged[keys[kind]] = merged.get(keys[kind], 0) + count
-            counts_by_perm[perm] = merged
-        for which in _groups_containing(mask):
-            for (pq, minus), count in counts_by_perm[perm].items():
-                sign = -1 if (mask & minus).bit_count() & 1 else 1
-                sums[which][pq] = sums[which].get(pq, 0) + sign * count
-            credited[which] += 1
+    for perm, masks in _elements(n, "G"):
+        merged: dict[_SignKey, int] = {}
+        for kind, count in _fixed_counts(perm, basis).items():
+            merged[keys[kind]] = merged.get(keys[kind], 0) + count
+        for mask in masks:
+            for which in _groups_containing(mask):
+                for (pq, minus), count in merged.items():
+                    sign = -1 if (mask & minus).bit_count() & 1 else 1
+                    sums[which][pq] = sums[which].get(pq, 0) + sign * count
+                credited[which] += 1
     for which, count in credited.items():
         if count != group_order(n, which):
             raise IntegralityViolation(

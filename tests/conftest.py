@@ -156,7 +156,7 @@ def enumerate_group(n, which):
     """Every element of G, H or S_n, validated as GroupElement, in the order
     of the package's enumeration and refused by its work guard."""
     return [GroupElement(perm, tuple(mask >> m & 1 for m in range(n)))
-            for perm, mask in group._elements(n, which)]
+            for perm, masks in group._elements(n, which) for mask in masks]
 
 
 def identity(n):

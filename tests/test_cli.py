@@ -406,14 +406,15 @@ class TestVerifyPaper:
 
     def test_single_twist_row_reads_the_enumeration(self, monkeypatch):
         # check 012 asks the enumeration of H, not a parity formula: one
-        # that also yields the single-slot twist must fail the row
+        # that also pairs the single-slot twist with the identity must fail
+        # the row
         elements = cli._elements
         assert elements is group._elements
 
         def leaky(n, which):
-            yield from elements(n, which)
-            if which == "H":
-                yield tuple(range(n)), 1
+            for perm, masks in elements(n, which):
+                leaks = which == "H" and perm == tuple(range(n))
+                yield perm, masks + [1] if leaks else masks
 
         monkeypatch.setattr(cli, "_elements", leaky)
         rows = [r for r in run_paper_checks(3) if r.check_id.startswith("012-")]

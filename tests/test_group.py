@@ -125,14 +125,23 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("which", WHICH)
     def test_elements_are_the_enumeration(self, which):
-        # the validated view and the raw (perm, twist bitmask) pairs agree
-        # element for element, in order
+        # each permutation once, in itertools order, with one list of twist
+        # bitmasks: 0 alone for Sn, the even-popcount masks for H, all for G;
+        # the validated view agrees with it element for element, in order
+        import itertools
+
         for n in range(1, 6):
-            pairs = list(group._elements(n, which))
-            assert len(pairs) == group_order(n, which)
+            walk = list(group._elements(n, which))
+            assert [perm for perm, _ in walk] == list(itertools.permutations(range(n)))
+            masks = walk[0][1]
+            assert all(pair_masks == masks for _, pair_masks in walk)
+            assert sorted(masks) == {
+                "Sn": [0], "G": list(range(2 ** n)),
+                "H": [mask for mask in range(2 ** n) if mask.bit_count() % 2 == 0]}[which]
+            assert len(walk) * len(masks) == group_order(n, which)
             assert enumerate_group(n, which) == [
                 GroupElement(perm, tuple((mask >> m) & 1 for m in range(n)))
-                for perm, mask in pairs]
+                for perm, masks in walk for mask in masks]
 
     @pytest.mark.parametrize("which", WHICH)
     def test_elements_refused_before_any_pair(self, which, monkeypatch):
@@ -264,7 +273,9 @@ class TestClasses:
         elements_ = group._elements
 
         def drop_last(n, which):
-            return list(elements_(n, which))[:-1]
+            walk = list(elements_(n, which))
+            perm, masks = walk[-1]
+            return walk[:-1] + [(perm, masks[:-1])]
 
         monkeypatch.setattr(group, "_elements", drop_last)
         order = group_order(4, which)

@@ -308,7 +308,7 @@ class TestNewtonKernel:
         assert (low + (high << 64)) % 3 == 0
         with pytest.raises(IntegralityViolation,
                            match=rf"Newton sum {low} at \(1, 1\) does not divide by 3$"):
-            mod._newton(terms, 1, last_only=True)
+            mod._newton(terms, 1)(3)
 
     def test_understated_bound_is_refused(self, monkeypatch):
         # total dimensions that lie low set the bound to 2^1: step 1 divides
@@ -364,8 +364,8 @@ class TestNewtonKernel:
                                    reference_newton(terms, part.dimension))
 
     def test_one_pass_and_one_table_per_coefficient(self, monkeypatch):
-        # a work count, not a timing: the point X_0, then per step one
-        # validated table
+        # a work count, not a timing: one pass, then per coefficient read,
+        # X_0 included, one table built and validated
         terms = _power_terms([k3()], 12)
         expected = reference_newton([adams(k3(), k) for k in range(1, 13)], 2)
         built, validated = [], []
@@ -385,8 +385,10 @@ class TestNewtonKernel:
 
         monkeypatch.setattr(mod, "HodgeTable", Counted)
         monkeypatch.setattr(bigraded, "_validated_entries", counted_validate)
-        xs = mod._newton(terms, 2)
-        assert built == [2 * m for m in range(1, 13)]
+        x = mod._newton(terms, 2)
+        assert built == validated == []
+        xs = [x(m) for m in range(13)]
+        assert built == [2 * m for m in range(13)]
         assert validated == [2 * m for m in range(13)]
         assert_same_series(xs, expected)
 
@@ -400,7 +402,8 @@ class TestNewtonKernel:
             "invariant_dims-H"])
     def test_only_returned_coefficients_are_validated(self, name, want, monkeypatch):
         # a work count, not a timing: the dimensions of the tables the kernel
-        # validates; a caller returning X_n alone gets no X_0..X_(n-1)
+        # and its decoder validate; a caller returning X_n alone reads no
+        # X_0..X_(n-1)
         def series(terms_of, table):
             return reference_newton([terms_of(table, j) for j in range(1, 13)],
                                     table.dimension)
@@ -422,12 +425,17 @@ class TestNewtonKernel:
         validated, inside = [], []
         honest_newton, honest_validate = mod._newton, bigraded._validated_entries
 
+        def counted(call):
+            def counted_call(*args):
+                inside.append(True)
+                try:
+                    return call(*args)
+                finally:
+                    inside.clear()
+            return counted_call
+
         def counted_newton(*args):
-            inside.append(True)
-            try:
-                return honest_newton(*args)
-            finally:
-                inside.clear()
+            return counted(counted(honest_newton)(*args))
 
         def counted_validate(entries, dimension):
             if inside:
@@ -488,9 +496,8 @@ class TestLevelSplit:
 
     def assert_equals_reference(self, seeds, n, dimension):
         terms = _power_terms(seeds, n)
-        want = reference_newton(terms, dimension)
-        assert_same_series(mod._newton(terms, dimension), want)
-        assert_same_series(mod._newton(terms, dimension, last_only=True), want[-1:])
+        x = mod._newton(terms, dimension)
+        assert_same_series([x(m) for m in range(n + 1)], reference_newton(terms, dimension))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 20])
     @pytest.mark.parametrize("surface", [
@@ -520,6 +527,37 @@ class TestLevelSplit:
         for table in [golden, *drawn[:2]]:
             for part in (table.forget(), table.plus_part(), table.minus_part()):
                 self.assert_equals_reference([part], 20, 3)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 12])
+    @pytest.mark.parametrize("surface", [
+        HodgeTable({(0, 0): 1, (1, 1): 3, (2, 2): 1}, 2),
+        HodgeTable({(2, 0): 1, (0, 2): 1}, 2),
+        k3(),
+        load_surface_spec(GOLDEN_DIR / "specs" / "seeded-threefold-1.json")[1].forget(),
+    ], ids=["diagonal-only", "off-only", "k3", "seeded-threefold"])
+    def test_each_coefficient_decodes_alone(self, surface, m, monkeypatch):
+        # coefficient(m) read on its own, from a decoder nothing else has
+        # read, is entry m of the full series and of the witness, and
+        # validates exactly one table; X_0 is the point
+        terms = _power_terms([surface], 12)
+        want = reference_newton(terms, surface.dimension)
+        full = mod._newton(terms, surface.dimension)
+        x = mod._newton(terms, surface.dimension)
+        validated = []
+        honest_validate = bigraded._validated_entries
+
+        def counted_validate(entries, dimension):
+            validated.append(dimension)
+            return honest_validate(entries, dimension)
+
+        monkeypatch.setattr(bigraded, "_validated_entries", counted_validate)
+        got = x(m)
+        assert validated == [m * surface.dimension]
+        monkeypatch.undo()
+        assert_same_series([got], [[full(k) for k in range(13)][m]])
+        assert_same_series([got], [want[m]])
+        if m == 0:
+            assert got == point()
 
     @pytest.mark.parametrize("pq, total", [((0, 0), 3), ((2, 0), 1)],
                              ids=["diagonal", "off-diagonal"])

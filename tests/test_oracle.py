@@ -267,9 +267,13 @@ class TestProjector:
 
         def elements_counted(n, which):
             enumerated.append(which)
-            for pair in elements_(n, which):
-                current[:] = [pair]
-                yield pair
+            for perm, masks in elements_(n, which):
+                yield perm, tracked(perm, masks)
+
+        def tracked(perm, masks):
+            for mask in masks:
+                current[:] = [(perm, mask)]
+                yield mask
 
         def keyed_counted(table, n):
             built.append(n)
