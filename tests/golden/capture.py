@@ -28,7 +28,7 @@ OPERATIONS = (("hilb",), ("sym",), ("quotient", "Sn"), ("quotient", "G"),
 #: it: a threefold with off-diagonal entries in both eigenspaces, and a
 #: surface with h^{2,0} = 2.
 SPEC_DIR = GOLDEN_DIR / "specs"
-SPEC_CASES = (("seeded-threefold-1", (("quotient", "10", "H"),
+SPEC_CASES = (("seeded-threefold-1", (("quotient", "10", "H"), ("quotient", "20", "H"),
                                       ("quotient", "20", "Sn"), ("sym", "20"))),
               ("seeded-surface-3", (("hilb", "14"), ("hilb", "40"))))
 
@@ -67,7 +67,11 @@ def cases() -> list[tuple[str, list[str]]]:
            ("diamond-k3-hilb-40.json",
             ["diamond", "--preset", "k3", "--format", "json", "hilb", "40"]),
            ("diamond-k3-sym-40.json",
-            ["diamond", "--preset", "k3", "--format", "json", "sym", "40"])]
+            ["diamond", "--preset", "k3", "--format", "json", "sym", "40"]),
+           # The H join at large n: Sym^n(V_+) (+) Sym^n(V_-) of k3_enriques.
+           ("diamond-k3_enriques-quotient-H-40.json",
+            ["diamond", "--preset", "k3_enriques", "--format", "json",
+             "quotient", "40", "H"])]
     for preset in PRESETS:
         for op, *group in OPERATIONS:
             for n in SIZES:
