@@ -216,12 +216,32 @@ def tensor(a: HodgeTable, b: HodgeTable) -> HodgeTable:
     _require_plain(b)
     _reject_odd(a._entries)
     _reject_odd(b._entries)
-    entries: dict[tuple[int, int], int] = {}
-    for (s, t), d in a._entries.items():
-        for (u, v), e in b._entries.items():
+    return HodgeTable(_product(a._entries, b._entries), a.dimension + b.dimension)
+
+
+def _product(a, b) -> dict[tuple[int, int], int]:
+    """Product of two sparse polynomials {(p, q): c} in u^p v^q, with zero
+    coefficients dropped and negative ones kept: the one multiply-add loop
+    behind :func:`tensor` and the audit routes' graded traces."""
+    out: dict[tuple[int, int], int] = {}
+    for (s, t), d in a.items():
+        for (u, v), e in b.items():
             key = (s + u, t + v)
-            entries[key] = entries.get(key, 0) + d * e
-    return HodgeTable(entries, a.dimension + b.dimension)
+            out[key] = out.get(key, 0) + d * e
+    return {pq: c for pq, c in out.items() if c}
+
+
+def _average(sums, order: int, dimension: int, what: str) -> HodgeTable:
+    """The table sums / order, for bidegree sums {(p, q): s} over a group of
+    that order.  Each quotient is a dimension: a remainder or a negative one
+    raises IntegralityViolation naming ``what``, the sum, its entry, the order."""
+    entries = {}
+    for pq, value in sums.items():
+        entries[pq], rem = divmod(value, order)
+        if rem or entries[pq] < 0:
+            fault = "does not divide by" if rem else f"averages to {entries[pq]} < 0 over"
+            raise IntegralityViolation(f"{what} {value} at {pq} {fault} group order {order}")
+    return HodgeTable(entries, dimension)
 
 
 # ---------------------------------------------------------------------------

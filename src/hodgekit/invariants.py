@@ -26,9 +26,10 @@ contributes the factor
 
     sum over entries (p, q) of V of (d_plus + (-1)^t * d_minus) * u^(l*p) v^(l*q).
 
-Traces are plain dicts {(p, q): coefficient}, multiplied and summed by
-their own loops here rather than by :mod:`.bigraded`, whose tables reject
-the negative coefficients a single trace can have.
+Traces are plain dicts {(p, q): coefficient}, as a single trace can have
+negative coefficients, which tables reject.  They are multiplied by
+``bigraded._product`` and their sum divided by ``bigraded._average``, the
+exact average the projector oracle also ends in.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from .bigraded import (
     EquivHodgeTable,
     HodgeTable,
     IntegralityViolation,
+    _average,
+    _product,
     _reject_odd,
     _require_plain,
     direct_sum,
@@ -58,13 +61,9 @@ def class_trace(ct: tuple, table: EquivHodgeTable) -> dict[tuple[int, int], int]
     """
     entries, result = table.items(), {(0, 0): 1}
     for length, parity in ct:
-        product: dict[tuple[int, int], int] = {}
-        for (p, q), (d_plus, d_minus) in entries:
-            c = d_plus - d_minus if parity else d_plus + d_minus
-            for (s, t), a in result.items():
-                key = (s + length * p, t + length * q)
-                product[key] = product.get(key, 0) + a * c
-        result = {pq: v for pq, v in product.items() if v}
+        sign = -1 if parity else 1
+        result = _product({(length * p, length * q): d_plus + sign * d_minus
+                           for (p, q), (d_plus, d_minus) in entries}, result)
     return result
 
 
@@ -169,22 +168,22 @@ def _newton(terms: list[dict[tuple[int, int], int]], dimension: int):
         rows = [[((b // bits + d) * width * bits, f) for d, f in enumerate(read(x)) if f]
                 for x, b in fs]
 
+    def total(copies, lo, hi):
+        # pairwise halving in order of offset: no partial sum spans far past
+        # its parts, and at most one per level is alive
+        if hi - lo == 1:
+            o, x, f = copies[lo]
+            return o, x * f
+        mid = (lo + hi) // 2
+        (o, v), (o1, v1) = total(copies, lo, mid), total(copies, mid, hi)
+        return o, v + (v1 << o1 - o)
+
     def coefficient(m):
         acc, base = fs[m]
         if reach:
-            # a binary counter of partial sums, in order of offset: none spans
-            # far past its parts, and at most one of each size is alive
-            parts = []
-            for o, x, f in sorted((b + s, x, f) for (x, b), row
-                                  in zip(reversed(ls[:m + 1]), rows) for s, f in row):
-                k, v = 1, x * f
-                while parts and parts[-1][0] == k:
-                    _, o0, v0 = parts.pop()
-                    k, o, v = 2 * k, o0, v0 + (v << o - o0)
-                parts.append((k, o, v))
-            _, base, acc = parts.pop()
-            for _, o, v in reversed(parts):
-                base, acc = o, v + (acc << base - o)
+            copies = sorted((b + s, x, f) for (x, b), row
+                            in zip(reversed(ls[:m + 1]), rows) for s, f in row)
+            base, acc = total(copies, 0, len(copies))
             if acc & mask:
                 raise IntegralityViolation(f"Newton coefficient {m}: a slot reaches "
                                            f"2^{top}, past the bound from total dimensions")
@@ -248,21 +247,11 @@ def class_sum_dims(table: EquivHodgeTable, n: int, which: str) -> HodgeTable:
     """
     if which == "Sn":
         table, which = EquivHodgeTable.trivial_split(table.forget()), "G"
-    order = group_order(n, which)
     total: dict[tuple[int, int], int] = {}
     for ct, size in classes(n, which):
         for pq, c in class_trace(ct, table).items():
             total[pq] = total.get(pq, 0) + size * c
-    entries = {}
-    for pq, value in total.items():
-        dim, rem = divmod(value, order)
-        if rem != 0 or dim < 0:
-            raise IntegralityViolation(
-                f"trace sum {value} at {pq} does not divide by group order {order}"
-            )
-        if dim:
-            entries[pq] = dim
-    return HodgeTable(entries, n * table.dimension)
+    return _average(total, group_order(n, which), n * table.dimension, "trace sum")
 
 
 def sym_product(surface: HodgeTable, m: int) -> HodgeTable:

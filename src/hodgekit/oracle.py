@@ -10,15 +10,15 @@ every other kind is compared explicitly.  Fixed counts are merged by sign
 key once per permutation, and every element signs them straight into the
 bidegree sums of each group containing it (G always, H for an even twist
 count, Sn for none).
-Deliberately shares no code with the symmetric-power production route or
-the class-sum audit route.
+Shares no code with the symmetric-power production route, and only the table
+type and its exact average, ``bigraded._average``, with the class-sum route.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .bigraded import EquivHodgeTable, HodgeTable, IntegralityViolation
+from .bigraded import EquivHodgeTable, HodgeTable, IntegralityViolation, _average
 from .group import WHICH, _check_work, _elements, group_order
 
 #: A slot label is (p, q, eigen, index): bidegree, eigen-sign (+1/-1) under
@@ -132,15 +132,5 @@ def projector_tables(table: EquivHodgeTable, n: int) -> dict[str, HodgeTable]:
             raise IntegralityViolation(
                 f"{count} elements credited to {which} at n = {n}, "
                 f"not its order {group_order(n, which)}")
-    tables = {}
-    for which, count in credited.items():
-        entries = {}
-        for pq, value in sums[which].items():
-            dim, rem = divmod(value, count)
-            if rem != 0 or dim < 0:
-                raise IntegralityViolation(
-                    f"projector sum {value} at {pq} does not divide by {count}")
-            if dim:
-                entries[pq] = dim
-        tables[which] = HodgeTable(entries, n * table.dimension)
-    return tables
+    return {which: _average(sums[which], count, n * table.dimension, "projector sum")
+            for which, count in credited.items()}

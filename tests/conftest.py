@@ -79,6 +79,13 @@ def satisfies_duality(table):
     return all(table[n - p, n - q] == d for (p, q), d in table.items())
 
 
+def evaluate(poly, u, v):
+    """A sparse polynomial {(p, q): c} in u^p v^q at the integers u, v: an
+    independent witness for products, which evaluation turns into products
+    of integers."""
+    return sum(c * u ** p * v ** q for (p, q), c in poly.items())
+
+
 def corrupt_second_term(monkeypatch, module):
     """Make ``module``'s Newton term builder add one class at (0, 0) to T_2,
     so 2 * X_2 there is off by one from an honest sum."""

@@ -5,11 +5,15 @@ import re
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from hodgekit.bigraded import (
     EquivHodgeTable,
     HodgeTable,
+    IntegralityViolation,
     OddCohomologyUnsupported,
+    _average,
+    _product,
     direct_sum,
     enriques,
     k3,
@@ -20,7 +24,7 @@ from hodgekit.bigraded import (
     tensor,
 )
 
-from conftest import hodge_tables, is_symmetric
+from conftest import evaluate, hodge_tables, is_symmetric
 
 
 class TestPresets:
@@ -91,6 +95,50 @@ class TestTensor:
 
     def test_dimension_adds(self):
         assert tensor(k3(), enriques()).dimension == 4
+
+
+#: Sparse polynomials with signed coefficients, zeros included.
+signed_polys = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                               st.integers(-5, 5), max_size=5)
+
+
+class TestProduct:
+    def test_keeps_negatives_and_drops_zeros(self):
+        # (1 - uv + 0 u^2)(1 + uv) = 1 - u^2 v^2: the uv terms cancel
+        assert (_product({(0, 0): 1, (1, 1): -1, (2, 0): 0}, {(0, 0): 1, (1, 1): 1})
+                == {(0, 0): 1, (2, 2): -1})
+
+    @given(signed_polys, signed_polys)
+    def test_product_evaluates_as_the_product(self, a, b):
+        out = _product(a, b)
+        assert 0 not in out.values()
+        for u, v in ((2, 3), (-1, 5)):
+            assert evaluate(out, u, v) == evaluate(a, u, v) * evaluate(b, u, v)
+
+    @given(hodge_tables(), hodge_tables())
+    def test_tensor_is_the_product_of_entries(self, a, b):
+        assert tensor(a, b) == HodgeTable(_product(a._entries, b._entries),
+                                          a.dimension + b.dimension)
+
+
+class TestAverage:
+    def test_divides_exactly_and_keeps_the_dimension(self):
+        got = _average({(0, 0): 8, (1, 1): 0, (2, 2): 16}, 8, 3, "sum")
+        assert got == HodgeTable({(0, 0): 1, (2, 2): 2}, 3)
+        assert got.dimension == 3
+        assert got.support() == [(0, 0), (2, 2)]
+
+    def test_remainder_named(self):
+        with pytest.raises(IntegralityViolation,
+                           match=r"^trace sum 9 at \(1, 1\) does not divide by group order 8$"):
+            _average({(0, 0): 8, (1, 1): 9}, 8, 2, "trace sum")
+
+    def test_negative_average_named(self):
+        # the sum divides exactly, but no dimension is negative
+        with pytest.raises(IntegralityViolation,
+                           match=r"^projector sum -16 at \(1, 1\) averages to -2 < 0 "
+                                 r"over group order 8$"):
+            _average({(0, 0): 8, (1, 1): -16}, 8, 2, "projector sum")
 
 
 class TestBettiEuler:

@@ -9,15 +9,18 @@ from pathlib import Path
 import pytest
 
 import hodgekit
-from hodgekit import cli, cover, group, invariants
+from hodgekit import bigraded, cli, cover, group, invariants, oracle
 from hodgekit.bigraded import (
     HodgeTable,
     OddCohomologyUnsupported,
+    direct_sum,
+    k3_enriques,
     parse_surface_spec,
     point,
     preset,
 )
 from hodgekit.cli import main, run_paper_checks
+from hodgekit.group import WHICH
 from hodgekit.hilbert import hilbert_diamond
 
 from golden.capture import GOLDEN_DIR, cases
@@ -451,6 +454,31 @@ class TestVerifyPaper:
 
         assert (self.failed_rows(monkeypatch, 6, grow_first)
                 == ["010-group-order-G-n6", "010-group-order-H-n6"])
+
+    def test_shared_average_off_by_one_fails_check_090(self, monkeypatch):
+        # both audit routes end in bigraded._average; a fault there makes
+        # them agree with each other but not with production, which never
+        # reaches it, so check 090 still fails (and the cover, which reads
+        # the class-sum route)
+        table, average = k3_enriques(), bigraded._average
+        production = {(n, which): cli.invariant_dims(table, n, which)
+                      for n in (1, 2, 3) for which in WHICH}
+
+        def off_by_one(sums, order, dimension, what):
+            return direct_sum(average(sums, order, dimension, what),
+                              HodgeTable({(0, 0): 1}, 0))
+
+        for module in (invariants, oracle):
+            monkeypatch.setattr(module, "_average", off_by_one)
+        assert [r.check_id for r in run_paper_checks(3) if r.status == "fail"] == [
+            "050-cover-n2-h00", "059-cover-n2-euler-double",
+            "090-oracle-equiv-n1", "090-oracle-equiv-n2", "090-oracle-equiv-n3"]
+        for n in (1, 2, 3):
+            audited = oracle.projector_tables(table, n)
+            for which in WHICH:
+                assert cli.invariant_dims(table, n, which) == production[n, which]
+                assert invariants.class_sum_dims(table, n, which) == audited[which]
+                assert audited[which] != production[n, which]
 
     def test_one_hilbert_series_per_surface(self, monkeypatch):
         built = []

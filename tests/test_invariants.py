@@ -42,7 +42,8 @@ from hodgekit.invariants import (
 )
 from hodgekit.oracle import projector_tables
 
-from conftest import corrupt_second_term, equiv_tables, seeded_equiv_tables, surfaces
+from conftest import (corrupt_second_term, equiv_tables, evaluate, seeded_equiv_tables,
+                      surfaces)
 from golden.capture import GOLDEN_DIR
 
 
@@ -108,6 +109,18 @@ class TestClassTrace:
         tr = class_trace(((1, 0), (1, 0)), k3_enriques())
         assert tr.get((2, 2), 0) == 404
         assert tr.get((1, 1), 0) == 40
+
+    def test_trace_is_the_product_of_its_cycle_factors(self):
+        # k3_enriques's cycle factors, written out: a twisted cycle negates
+        # the anti-invariant h^{2,0}, h^{0,2} and cancels h^{1,1}
+        untwisted_1 = {(0, 0): 1, (0, 2): 1, (1, 1): 20, (2, 0): 1, (2, 2): 1}
+        twisted_1 = {(0, 0): 1, (0, 2): -1, (1, 1): 0, (2, 0): -1, (2, 2): 1}
+        twisted_2 = {(0, 0): 1, (0, 4): -1, (2, 2): 0, (4, 0): -1, (4, 4): 1}
+        factors = [twisted_2, untwisted_1, twisted_1]
+        tr = class_trace(((2, 1), (1, 0), (1, 1)), k3_enriques())
+        assert tr == reduce(bigraded._product, factors)
+        for u, v in ((2, 3), (-1, 5)):
+            assert evaluate(tr, u, v) == math.prod(evaluate(f, u, v) for f in factors)
 
 
 class TestInvariantDims:

@@ -396,7 +396,9 @@ class TestKindLevelScan:
 
 
 def test_oracle_imports_only_bigraded_and_group():
-    # the oracle shares no code with the production or class-sum routes
+    # the oracle shares no code with the production route, and with the
+    # class-sum route only what bigraded holds: the table type and its
+    # exact average
     tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
     modules = set()
     for node in ast.walk(tree):
