@@ -307,10 +307,10 @@ def parse_surface_spec(data) -> tuple[str, EquivHodgeTable]:
 
         {"name": str, "dimension": int, "hodge": [[p, q, d_plus, d_minus], ...]}
 
-    Raises OddCohomologyUnsupported on entries of odd total degree before
-    anything else, and ValueError on malformed input or on a table no
-    surface can have: whatever :class:`EquivHodgeTable` or
-    :func:`_require_surface` refuses, or a + eigenspace with h^{0,0} = 0.
+    Raises ValueError on a malformed field, row or duplicate entry first;
+    then OddCohomologyUnsupported on entries of odd total degree; then
+    ValueError on a table no surface can have: whatever :class:`EquivHodgeTable`
+    or :func:`_require_surface` refuses, or a + eigenspace with h^{0,0} = 0.
     Both exceptions keep their type and gain the ``surface spec: `` prefix.
     """
     if not isinstance(data, dict):

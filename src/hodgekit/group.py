@@ -9,7 +9,8 @@ tuple ((length, parity), ...) sorted by descending length, then parity; it
 lies in H when an even number of its cycles are twisted.
 
 Group tokens used throughout the package: ``"G"`` (full group), ``"H"``
-(even-twist subgroup), ``"Sn"`` (permutations only).
+(even-twist subgroup), ``"Sn"`` (permutations only).  The audits walk G, and
+one rule reads an element's groups off its twist mask.
 """
 
 from __future__ import annotations
@@ -51,67 +52,69 @@ def _cycles(perm: tuple[int, ...]) -> list[tuple[int, int]]:
     return out
 
 
-def _check_work(n: int, which: str, labels: int | None = None) -> None:
-    """Refuse explicit work above WORK_GUARD: the order of ``which`` at n,
-    times labels^n for an oracle basis of ``labels`` per slot.
+def _check_work(n: int, labels: int | None = None) -> None:
+    """Refuse explicit work above WORK_GUARD: the order of G at n, times
+    labels^n for an oracle basis of ``labels`` per slot.
 
     The product is multiplied out one slot at a time and refused at the
     first partial product above the guard, so a huge n is refused at once.
     """
     work = 1
     for m in range(1, n + 1):
-        work *= m if which == "Sn" or (which == "H" and m == 1) else 2 * m
+        work *= 2 * m
         if labels is not None:
             work *= labels
         if work > WORK_GUARD:
-            what = f"the elements of {which}"
+            what = "the elements of G"
             if labels is not None:
                 what = f"{labels} labels per slot x {what}"
             raise TooLarge(f"{what} at n = {n} exceed the work guard {WORK_GUARD}")
 
 
-def _elements(n: int, which: str) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """Every element of G, H or S_n: each permutation once, in
-    itertools.permutations order, with the one list of twist masks that
-    every permutation pairs with.
-
-    ``perm`` maps slot m to slot perm[m] (0-based); bit m of a mask is set
-    when the involution is applied in slot m before permuting.  The masks
-    are 0 alone for S_n, the even-popcount ones for H and all for G.
-    Refused by :func:`_check_work` before anything is yielded.
+def _elements(n: int) -> Iterator[tuple[tuple[int, ...], range]]:
+    """Every element of G: each permutation once, in itertools.permutations
+    order, with all twist masks ``range(1 << n)``.  ``perm`` maps slot m to
+    slot perm[m] (0-based); bit m of a mask is set when the involution is
+    applied in slot m before permuting.  Refused by :func:`_check_work`
+    before anything is yielded.
     """
-    if which not in WHICH:
-        raise ValueError(f"which must be one of {WHICH}, got {which!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _check_work(n, which)
-    twists = [(0,) * n] if which == "Sn" else [
-        t for t in itertools.product((0, 1), repeat=n) if which == "G" or sum(t) % 2 == 0]
-    masks = [sum(t << m for m, t in enumerate(twist)) for twist in twists]
+    _check_work(n)
+    masks = range(1 << n)
     return ((perm, masks) for perm in itertools.permutations(range(n)))
 
 
-def element_census(n: int, which: str) -> list[tuple[tuple, int]]:
-    """Signed cycle types of the elements of :func:`_elements`, each
+def _groups_containing(mask: int) -> list[str]:
+    """The groups of WHICH that an element with twist bitmask ``mask``
+    belongs to: G always, H when it twists an even number of slots, Sn when
+    it twists none."""
+    twists = mask.bit_count()
+    return [which for which, member in (("Sn", twists == 0), ("G", True),
+                                        ("H", twists % 2 == 0)) if member]
+
+
+def element_census(n: int) -> list[tuple[tuple, int]]:
+    """Signed cycle types of the elements of G from :func:`_elements`, each
     with how many elements have it, ordered as :func:`classes`.
 
     Every element is visited and tallied; the cycles of each permutation are
     found once, and a cycle's parity is that of the twisted slots on it.
-    Tallying other than the group's order raises IntegralityViolation.
+    Tallying other than the order of G raises IntegralityViolation.
     """
     raw: dict[tuple[tuple[int, int], ...], int] = {}
     visited = 0
-    for perm, masks in _elements(n, which):
+    for perm, masks in _elements(n):
         cycles = _cycles(perm)
         for mask in masks:
             parts = tuple([(length, (mask & slots).bit_count() & 1)
                            for length, slots in cycles])
             raw[parts] = raw.get(parts, 0) + 1
             visited += 1
-    if visited != group_order(n, which):
+    if visited != group_order(n, "G"):
         raise IntegralityViolation(
-            f"{visited} elements tallied for {which} at n = {n}, "
-            f"not its order {group_order(n, which)}")
+            f"{visited} elements tallied for G at n = {n}, "
+            f"not its order {group_order(n, 'G')}")
     tally: dict[tuple[tuple[int, int], ...], int] = {}
     for parts, count in raw.items():
         ct = tuple(sorted(parts, key=lambda lt: (-lt[0], lt[1])))

@@ -245,6 +245,8 @@ def class_sum_dims(table: EquivHodgeTable, n: int, which: str) -> HodgeTable:
     exactly; anything else raises IntegralityViolation.  "Sn" averages over
     G acting on the trivially split table, where every twist acts trivially.
     """
+    if which not in WHICH:
+        raise ValueError(f"which must be one of {WHICH}, got {which!r}")
     if which == "Sn":
         table, which = EquivHodgeTable.trivial_split(table.forget()), "G"
     total: dict[tuple[int, int], int] = {}

@@ -8,8 +8,7 @@ each permutation once with its twist bitmasks.  A permutation fixes no
 label of a kind that differs from itself at a moved slot; every label of
 every other kind is compared explicitly.  Fixed counts are merged by sign
 key once per permutation, and every element signs them straight into the
-bidegree sums of each group containing it (G always, H for an even twist
-count, Sn for none).
+bidegree sums of each group that ``group._groups_containing`` names.
 Shares no code with the symmetric-power production route, and only the table
 type and its exact average, ``bigraded._average``, with the class-sum route.
 """
@@ -19,7 +18,7 @@ from __future__ import annotations
 import itertools
 
 from .bigraded import EquivHodgeTable, HodgeTable, IntegralityViolation, _average
-from .group import WHICH, _check_work, _elements, group_order
+from .group import WHICH, _check_work, _elements, _groups_containing, group_order
 
 #: A slot label is (p, q, eigen, index): bidegree, eigen-sign (+1/-1) under
 #: the involution, and position inside that eigenspace.  A basis label of
@@ -90,15 +89,6 @@ def _sign_keys(basis: list[tuple[_Kind, list[Label]]]) -> dict[_Kind, _SignKey]:
             for kind, _ in basis}
 
 
-def _groups_containing(mask: int) -> list[str]:
-    """The groups of WHICH that an element with twist bitmask ``mask``
-    belongs to: G always, H when it twists an even number of slots, Sn when
-    it twists none."""
-    twists = mask.bit_count()
-    return [which for which, member in (("Sn", twists == 0), ("G", True),
-                                        ("H", twists % 2 == 0)) if member]
-
-
 def projector_tables(table: EquivHodgeTable, n: int) -> dict[str, HodgeTable]:
     """Invariant dimensions under Sn, G and H via the explicit averaging
     projector, keyed by WHICH.
@@ -112,12 +102,12 @@ def projector_tables(table: EquivHodgeTable, n: int) -> dict[str, HodgeTable]:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _check_work(n, "G", table.total_dim())
+    _check_work(n, table.total_dim())
     basis = _keyed_basis(table, n)
     keys = _sign_keys(basis)
     sums: dict[str, dict[tuple[int, int], int]] = {which: {} for which in WHICH}
     credited = dict.fromkeys(WHICH, 0)
-    for perm, masks in _elements(n, "G"):
+    for perm, masks in _elements(n):
         merged: dict[_SignKey, int] = {}
         for kind, count in _fixed_counts(perm, basis).items():
             merged[keys[kind]] = merged.get(keys[kind], 0) + count

@@ -288,6 +288,23 @@ class TestSurfaceSpecInput:
         assert code == 2 and out == ""
         assert f"error: {named}" in err
 
+    @pytest.mark.parametrize("rows, named", [
+        ([[0, 0, 1, 0], [1, 0, 1.5, 0]], "surface spec: bad hodge row [1, 0, 1.5, 0]"),
+        ([[0, 0, 1, 0], [1, 0, 1, 0], [1, 0, 1, 0]],
+         "surface spec: duplicate entry at (1, 0)"),
+    ], ids=["bad-row", "duplicate"])
+    def test_shape_fault_refused_before_odd_entry_exits_2(self, capsys, tmp_path, rows,
+                                                          named):
+        # the loader's row checks come before the odd-degree refusal
+        doc = {"name": "odd", "dimension": 2, "hodge": rows}
+        with pytest.raises(ValueError) as refused:
+            parse_surface_spec(doc)
+        assert not isinstance(refused.value, OddCohomologyUnsupported)
+        code, out, err = run_main(capsys, "diamond", "--spec", self.write(tmp_path, doc),
+                                  "sym", "1")
+        assert code == 2 and out == ""
+        assert f"error: {named}" in err
+
     @pytest.mark.parametrize("op", ["hilb", "cover"])
     @pytest.mark.parametrize("dimension, rows", [
         (1, [[0, 0, 1, 0], [1, 1, 1, 0]]),
@@ -407,19 +424,17 @@ class TestVerifyPaper:
         assert failed == ["080-euler-gf-enriques", "080-euler-gf-k3"]
         assert "fail: 2" in err
 
-    def test_single_twist_row_reads_the_enumeration(self, monkeypatch):
-        # check 012 asks the enumeration of H, not a parity formula: one
-        # that also pairs the single-slot twist with the identity must fail
-        # the row
-        elements = cli._elements
-        assert elements is group._elements
+    def test_single_twist_row_reads_the_membership_rule(self, monkeypatch):
+        # check 012 asks the rule the oracle credits every element by, not a
+        # parity formula: a rule that also puts the single-slot twist in H
+        # must fail the row
+        rule = cli._groups_containing
+        assert rule is group._groups_containing
 
-        def leaky(n, which):
-            for perm, masks in elements(n, which):
-                leaks = which == "H" and perm == tuple(range(n))
-                yield perm, masks + [1] if leaks else masks
+        def leaky(mask):
+            return [*rule(mask), "H"] if mask == 1 else rule(mask)
 
-        monkeypatch.setattr(cli, "_elements", leaky)
+        monkeypatch.setattr(cli, "_groups_containing", leaky)
         rows = [r for r in run_paper_checks(3) if r.check_id.startswith("012-")]
         assert [(r.actual, r.status) for r in rows] == [("True", "fail")] * 3
 

@@ -197,8 +197,11 @@ class TestInvariantDims:
             invariant_series(k3_enriques(), 0, "H")
 
     def test_bad_token(self):
-        with pytest.raises(ValueError):
-            invariant_dims(k3_enriques(), 2, "A5")
+        # both routes name every group token, Sn included
+        for route in (invariant_dims, class_sum_dims):
+            with pytest.raises(ValueError, match=r"which must be one of "
+                                                 r"\('Sn', 'G', 'H'\), got 'A5'"):
+                route(k3_enriques(), 2, "A5")
 
     def test_integrality_guard_trips_on_corrupted_census(self, monkeypatch):
         # unreachable with honest input: force it by doctoring a class size

@@ -9,7 +9,7 @@ import pytest
 
 from hodgekit import cli, group, oracle
 from hodgekit.bigraded import EquivHodgeTable, IntegralityViolation, k3_enriques
-from hodgekit.group import WHICH, WORK_GUARD, TooLarge, group_order
+from hodgekit.group import WHICH, WORK_GUARD, TooLarge, census_series, group_order
 from hodgekit.invariants import class_trace, invariant_dims
 from hodgekit.oracle import _slot_basis, projector_tables
 
@@ -265,9 +265,9 @@ class TestProjector:
         elements_, keyed_basis = oracle._elements, oracle._keyed_basis
         fixed_counts, groups_containing = oracle._fixed_counts, oracle._groups_containing
 
-        def elements_counted(n, which):
-            enumerated.append(which)
-            for perm, masks in elements_(n, which):
+        def elements_counted(n):
+            enumerated.append(n)
+            for perm, masks in elements_(n):
                 yield perm, tracked(perm, masks)
 
         def tracked(perm, masks):
@@ -300,7 +300,7 @@ class TestProjector:
         monkeypatch.setattr(oracle, "_fixed_counts", scan)
         monkeypatch.setattr(oracle, "_groups_containing", groups)
         out = projector_tables(table, n)
-        assert enumerated == ["G"]
+        assert enumerated == [n]
         assert built == [n]
         perms = list(itertools.permutations(range(n)))
         assert scanned == [(perm, table.total_dim() ** n) for perm in perms]
@@ -328,15 +328,23 @@ class TestProjector:
         assert len(leaked) == 1
 
     def test_groups_containing_reads_the_twist_count(self):
-        for n in (1, 2, 3):
-            for g in enumerate_group(n, "G"):
-                mask = sum(t << m for m, t in enumerate(g.twist))
-                expected = {"G"}
-                if sum(g.twist) == 0:
-                    expected.add("Sn")
-                if sum(g.twist) % 2 == 0:
-                    expected.add("H")
-                assert set(oracle._groups_containing(mask)) == expected
+        # the per-element rule agrees with the twist count, and with the
+        # in-H flag of the element's signed cycle type in the census
+        census = census_series(5)
+        for n in range(1, 6):
+            in_h = {ct: flag for ct, _, flag in census[n]}
+            for perm, masks in group._elements(n):
+                for mask in masks:
+                    twist = tuple((mask >> m) & 1 for m in range(n))
+                    expected = {"G"}
+                    if sum(twist) == 0:
+                        expected.add("Sn")
+                    if sum(twist) % 2 == 0:
+                        expected.add("H")
+                    groups = group._groups_containing(mask)
+                    assert set(groups) == expected
+                    ct = signed_cycle_type(GroupElement(perm, twist))
+                    assert ("H" in groups) == in_h[ct]
 
 
 def reference_fixed_counts(perm, basis):

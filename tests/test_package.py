@@ -125,7 +125,8 @@ def test_no_two_src_functions_share_a_body():
 # audit routes share: production must reach neither.
 AUDIT_ENTRIES = ["class_sum_dims", "class_trace", "classes", "projector_tables",
                  "element_census", "euler_product_coefficients", "exceptional_orbits",
-                 "cover_diamond_n2", "_product", "_average"]
+                 "cover_diamond_n2", "_product", "_average", "_elements",
+                 "_groups_containing"]
 PRODUCTION_ENTRIES = ["invariant_dims", "invariant_series", "sym_powers", "sym_product",
                       "hilbert_series", "hilbert_diamond"]
 PRODUCTION_KERNEL = ["_newton", "_power_terms", "_symmetric", "_goettsche"]
