@@ -88,6 +88,12 @@ def _require_plain(table) -> None:
         raise TypeError(f"need a plain HodgeTable, got {type(table).__name__}; call .forget()")
 
 
+def _require_split(table) -> None:
+    if not isinstance(table, EquivHodgeTable):
+        raise TypeError(f"need an EquivHodgeTable, got {type(table).__name__}; "
+                        "lift it with EquivHodgeTable.trivial_split")
+
+
 def _reject_odd(bidegrees) -> None:
     for p, q in bidegrees:
         if (p + q) % 2:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from .bigraded import (
     EquivHodgeTable,
     HodgeTable,
+    _require_split,
     _require_surface,
     direct_sum,
     k3_enriques,
@@ -81,6 +82,7 @@ def cover_diamond_n2(surface: EquivHodgeTable | None = None) -> HodgeTable:
     eigenspace within it with Hodge symmetry and Serre duality.
     """
     table = k3_enriques() if surface is None else surface
+    _require_split(table)
     _require_surface(table, "the n = 2 cover needs a surface", 2)
     return direct_sum(class_sum_dims(table, 2, "H"),
                       tensor(HodgeTable({(1, 1): 2}, 1), table.plus_part()))

@@ -45,6 +45,7 @@ from .bigraded import (
     _product,
     _reject_odd,
     _require_plain,
+    _require_split,
     direct_sum,
 )
 from .group import WHICH, classes, group_order
@@ -59,6 +60,7 @@ def class_trace(ct: tuple, table: EquivHodgeTable) -> dict[tuple[int, int], int]
     dropped.  Coefficients may be negative.  Valid because the table has
     even-degree support only, so permuting tensor factors picks up no signs.
     """
+    _require_split(table)
     entries, result = table.items(), {(0, 0): 1}
     for length, parity in ct:
         sign = -1 if parity else 1
@@ -207,6 +209,7 @@ def sym_powers(surface: HodgeTable, n: int) -> list[HodgeTable]:
 
 
 def _invariants(table, n: int, which: str):
+    _require_split(table)
     if which not in WHICH:
         raise ValueError(f"which must be one of {WHICH}, got {which!r}")
     if which == "Sn":
@@ -245,6 +248,7 @@ def class_sum_dims(table: EquivHodgeTable, n: int, which: str) -> HodgeTable:
     exactly; anything else raises IntegralityViolation.  "Sn" averages over
     G acting on the trivially split table, where every twist acts trivially.
     """
+    _require_split(table)
     if which not in WHICH:
         raise ValueError(f"which must be one of {WHICH}, got {which!r}")
     if which == "Sn":

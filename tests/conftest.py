@@ -167,7 +167,7 @@ def enumerate_group(n, which):
     keep = {"G": lambda twists: True, "H": lambda twists: twists % 2 == 0,
             "Sn": lambda twists: twists == 0}[which]
     return [GroupElement(perm, tuple(mask >> m & 1 for m in range(n)))
-            for perm, masks in group._elements(n) for mask in masks
+            for perm in group._elements(n) for mask in range(1 << n)
             if keep(mask.bit_count())]
 
 

@@ -90,22 +90,6 @@ class TestEnumeration:
             for i in range(n):
                 assert slot_twist(n, (i,)) not in h
 
-    @pytest.mark.parametrize("which", ["G", "H"])
-    def test_order_bound(self, which, monkeypatch):
-        # both orders at n = 8 exceed the bound; every group's witness walks
-        # G, and no element may be built
-        import itertools
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("elements enumerated past the order bound")
-
-        monkeypatch.setattr(itertools, "permutations", refuse)
-        monkeypatch.setattr(itertools, "product", refuse)
-        assert group_order(8, which) > WORK_GUARD
-        with pytest.raises(TooLarge, match="the elements of G at n = 8 "
-                                           f"exceed the work guard {WORK_GUARD}"):
-            enumerate_group(8, which)
-
     @pytest.mark.parametrize("which, largest", [("G", 7)])
     def test_largest_enumerable_n(self, which, largest):
         # the one guard admits exactly the orders of G up to WORK_GUARD
@@ -127,25 +111,26 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("which", WHICH)
     def test_elements_are_the_enumeration(self, which):
-        # each permutation once, in itertools order, with every twist mask;
+        # each permutation once, in itertools order; with every twist mask,
         # the membership rule credits each group exactly its order, and the
         # witness keeps the same elements, in order
         import itertools
 
         for n in range(1, 6):
             walk = list(group._elements(n))
-            assert [perm for perm, _ in walk] == list(itertools.permutations(range(n)))
-            assert all(list(masks) == list(range(2 ** n)) for _, masks in walk)
+            assert walk == list(itertools.permutations(range(n)))
             kept = [GroupElement(perm, tuple((mask >> m) & 1 for m in range(n)))
-                    for perm, masks in walk for mask in masks
+                    for perm in walk for mask in range(2 ** n)
                     if which in group._groups_containing(mask)]
             assert len(kept) == group_order(n, which)
             assert enumerate_group(n, which) == kept
 
-    @pytest.mark.parametrize("which", WHICH)
+    @pytest.mark.parametrize("which", ["G"])
     def test_elements_refused_before_any_pair(self, which, monkeypatch):
-        # the walk of G trips the work guard at the call, before a
-        # permutation is generated, for every group's witness: Sn's too,
+        # the orders of G and H at n = 8 exceed the bound; the walk of G
+        # trips the work guard at the call, before a permutation is
+        # generated.  Every group's witness filters this one walk (see
+        # test_elements_are_the_enumeration), so Sn's is refused too,
         # though 8! is below the guard
         import itertools
 
@@ -153,7 +138,10 @@ class TestEnumeration:
             raise AssertionError("elements generated past the work guard")
 
         monkeypatch.setattr(itertools, "permutations", refuse)
-        with pytest.raises(TooLarge, match="the elements of G at n = 8 "):
+        monkeypatch.setattr(itertools, "product", refuse)
+        assert group_order(8, "G") > group_order(8, "H") > WORK_GUARD > group_order(8, "Sn")
+        with pytest.raises(TooLarge, match="the elements of G at n = 8 "
+                                           f"exceed the work guard {WORK_GUARD}"):
             enumerate_group(8, which)
 
     def test_bad_token(self):
@@ -162,6 +150,16 @@ class TestEnumeration:
             group_order(2, "K")
         with pytest.raises(ValueError, match=r"which must be one of \('G', 'H'\), got 'K'"):
             classes(2, "K")
+
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("which", WHICH)
+    def test_order_refuses_n_below_1(self, n, which):
+        # an exact order or a clear refusal: never 2^-1 * 0! = 0.5, and a
+        # bad token is named before a bad n
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            group_order(n, which)
+        with pytest.raises(ValueError, match="unknown group token 'K'"):
+            group_order(n, "K")
 
 
 class TestCompositionLaw:
@@ -270,18 +268,17 @@ class TestClasses:
 
     @pytest.mark.parametrize("which", ["G"])
     def test_census_refuses_a_short_tally(self, which, monkeypatch):
-        # an enumeration that drops one element must not yield a census
+        # a walk that drops one permutation, and so its 2^4 elements, must
+        # not yield a census
         elements_ = group._elements
 
         def drop_last(n):
-            walk = list(elements_(n))
-            perm, masks = walk[-1]
-            return walk[:-1] + [(perm, masks[:-1])]
+            return list(elements_(n))[:-1]
 
         monkeypatch.setattr(group, "_elements", drop_last)
         order = group_order(4, which)
         with pytest.raises(IntegralityViolation,
-                           match=f"{order - 1} elements tallied for {which} at n = 4, "
+                           match=f"{order - 2 ** 4} elements tallied for {which} at n = 4, "
                                  f"not its order {order}"):
             element_census(4)
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgekit import bigraded, hilbert
+from hodgekit import bigraded, cover, hilbert, oracle
 from hodgekit import invariants as mod
 from hodgekit.bigraded import (
     EquivHodgeTable,
@@ -202,6 +202,29 @@ class TestInvariantDims:
             with pytest.raises(ValueError, match=r"which must be one of "
                                                  r"\('Sn', 'G', 'H'\), got 'A5'"):
                 route(k3_enriques(), 2, "A5")
+
+    @pytest.mark.parametrize("call", [
+        lambda t: invariant_dims(t, 2, "H"),
+        lambda t: invariant_series(t, 2, "H"),
+        lambda t: class_sum_dims(t, 2, "H"),
+        lambda t: class_trace(((1, 0),), t),
+        lambda t: projector_tables(t, 2),
+        lambda t: cover.cover_diamond_n2(t),
+    ], ids=["invariant_dims", "invariant_series", "class_sum_dims", "class_trace",
+            "projector_tables", "cover_diamond_n2"])
+    def test_plain_table_refused_before_any_work(self, call, monkeypatch):
+        # the split-table entry points name the type they got and the lift
+        # to use, before any term, class, basis or surface check
+        def refuse(*args):
+            raise AssertionError("work done for a plain table")
+
+        for module, name in [(mod, "_power_terms"), (mod, "classes"), (mod, "_product"),
+                             (oracle, "_check_work"), (oracle, "_keyed_basis"),
+                             (cover, "_require_surface")]:
+            monkeypatch.setattr(module, name, refuse)
+        with pytest.raises(TypeError, match=r"need an EquivHodgeTable, got HodgeTable; "
+                                            r"lift it with EquivHodgeTable\.trivial_split$"):
+            call(k3())
 
     def test_integrality_guard_trips_on_corrupted_census(self, monkeypatch):
         # unreachable with honest input: force it by doctoring a class size

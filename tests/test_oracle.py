@@ -11,7 +11,7 @@ from hodgekit import cli, group, oracle
 from hodgekit.bigraded import EquivHodgeTable, IntegralityViolation, k3_enriques
 from hodgekit.group import WHICH, WORK_GUARD, TooLarge, census_series, group_order
 from hodgekit.invariants import class_trace, invariant_dims
-from hodgekit.oracle import _slot_basis, projector_tables
+from hodgekit.oracle import projector_tables
 
 from conftest import (
     GroupElement,
@@ -27,9 +27,24 @@ from conftest import (
 # The literal witness: every label of the explicit basis moved one by one,
 # sharing no helper with the oracle's per-kind pass.
 
+def slot_labels(table):
+    """Labels for one tensor factor: (p, q, eigen, index), the bidegree, the
+    eigen-sign (+1/-1) under the involution and the position inside that
+    eigenspace."""
+    return [(p, q, eigen, i) for (p, q), (d_plus, d_minus) in table.items()
+            for eigen, dim in ((1, d_plus), (-1, d_minus)) for i in range(dim)]
+
+
 def labeled_basis(table, n):
-    """All basis labels of the n-th tensor power."""
-    return list(itertools.product(_slot_basis(table), repeat=n))
+    """All basis labels of the n-th tensor power: tuples of slot labels."""
+    return list(itertools.product(slot_labels(table), repeat=n))
+
+
+def as_slot_labels(basis):
+    """The oracle's labels as the witness's: each slot's index inside its
+    piece, joined to the (p, q, eigen) piece that its kind holds."""
+    return [tuple((*piece, i) for piece, i in zip(kind, label))
+            for kind, (_, labels) in basis.items() for label in labels]
 
 
 def apply_element(g, label):
@@ -66,7 +81,7 @@ def element_trace(g, table):
 class TestBasis:
     def test_slot_count_is_total_dim(self):
         t = k3_enriques()
-        assert len(_slot_basis(t)) == t.total_dim() == 24
+        assert len(slot_labels(t)) == t.total_dim() == 24
 
     def test_labels_unique(self):
         labels = labeled_basis(k3_enriques(), 2)
@@ -79,13 +94,9 @@ class TestBasis:
         for table, n in cases:
             keyed = oracle._keyed_basis(table, n)
             labels = labeled_basis(table, n)
-            assert sorted(labels) == sorted(label for _, of_kind in keyed
-                                            for label in of_kind)
+            # each label, joined to its kind, is a witness label, once
+            assert sorted(labels) == sorted(as_slot_labels(keyed))
             assert len(set(labels)) == len(labels) == table.total_dim() ** n
-            for kind, of_kind in keyed:
-                for label in of_kind:
-                    # the kind holds each slot's bidegree and eigen-sign
-                    assert kind == tuple((p, q, eigen) for p, q, eigen, _ in label)
 
     @pytest.mark.parametrize("n", [9, 20])
     def test_sn_enumeration_guard(self, n, monkeypatch):
@@ -153,19 +164,19 @@ class TestApplyElement:
         assert apply_element(identity(2), lab) == (lab, 1)
 
     def test_double_twist_on_antiinvariant_pair(self):
-        minus = next(s for s in _slot_basis(k3_enriques()) if s[2] == -1)
+        minus = next(s for s in slot_labels(k3_enriques()) if s[2] == -1)
         lab = (minus, minus)
         assert apply_element(slot_twist(2, (0, 1)), lab) == (lab, 1)
 
     def test_single_twist_sign(self):
-        minus = next(s for s in _slot_basis(k3_enriques()) if s[2] == -1)
-        plus = next(s for s in _slot_basis(k3_enriques()) if s[2] == +1)
+        minus = next(s for s in slot_labels(k3_enriques()) if s[2] == -1)
+        plus = next(s for s in slot_labels(k3_enriques()) if s[2] == +1)
         moved, sign = apply_element(slot_twist(2, (0,)), (minus, plus))
         assert moved == (minus, plus)
         assert sign == -1
 
     def test_swap_moves_without_sign(self):
-        a, b = _slot_basis(k3_enriques())[:2]
+        a, b = slot_labels(k3_enriques())[:2]
         moved, sign = apply_element(transposition(2, 0, 1), (a, b))
         assert moved == (b, a)
         assert sign == 1
@@ -261,34 +272,29 @@ class TestProjector:
         # scan per permutation, and each group credited with its own elements
         table, n = k3_enriques(), 3
         enumerated, built, scanned, credited = [], [], [], {w: [] for w in WHICH}
-        current = []
+        current, asked = [], []
         elements_, keyed_basis = oracle._elements, oracle._keyed_basis
         fixed_counts, groups_containing = oracle._fixed_counts, oracle._groups_containing
 
         def elements_counted(n):
             enumerated.append(n)
-            for perm, masks in elements_(n):
-                yield perm, tracked(perm, masks)
-
-        def tracked(perm, masks):
-            for mask in masks:
-                current[:] = [(perm, mask)]
-                yield mask
+            for perm in elements_(n):
+                current[:] = [perm]
+                yield perm
 
         def keyed_counted(table, n):
             built.append(n)
             return keyed_basis(table, n)
 
         def scan(perm, basis):
-            scanned.append((perm, sum(len(labels) for _, labels in basis)))
+            scanned.append((perm, sum(len(labels) for _, labels in basis.values())))
             return fixed_counts(perm, basis)
 
         def groups(mask):
-            # membership is asked once per element, of the element just
-            # enumerated, by its twist bitmask alone
-            (perm, current_mask), = current
-            assert mask == current_mask
-            current.clear()
+            # membership is asked by the twist bitmask alone, of the
+            # permutation just enumerated
+            perm, = current
+            asked.append((perm, mask))
             out = groups_containing(mask)
             for w in out:
                 credited[w].append(GroupElement(
@@ -304,6 +310,8 @@ class TestProjector:
         assert built == [n]
         perms = list(itertools.permutations(range(n)))
         assert scanned == [(perm, table.total_dim() ** n) for perm in perms]
+        # once per element: each permutation with every twist mask, in order
+        assert asked == [(perm, mask) for perm in perms for mask in range(2 ** n)]
         assert credited[which] == enumerate_group(n, which)
         assert out[which] == invariant_dims(table, n, which)
 
@@ -333,8 +341,8 @@ class TestProjector:
         census = census_series(5)
         for n in range(1, 6):
             in_h = {ct: flag for ct, _, flag in census[n]}
-            for perm, masks in group._elements(n):
-                for mask in masks:
+            for perm in group._elements(n):
+                for mask in range(1 << n):
                     twist = tuple((mask >> m) & 1 for m in range(n))
                     expected = {"G"}
                     if sum(twist) == 0:
@@ -349,14 +357,14 @@ class TestProjector:
 
 def reference_fixed_counts(perm, basis):
     """Label-by-label fixed counts per kind, with no kind-level test: every
-    label of every kind is compared at every moved slot."""
+    label of every kind is compared at every moved slot, piece and index."""
     moves = [(m, target) for m, target in enumerate(perm) if m != target]
     counts = {}
-    for kind, labels in basis:
+    for kind, (_, labels) in basis.items():
         fixed = 0
         for label in labels:
             for m, target in moves:
-                if label[target] != label[m]:
+                if (kind[target], label[target]) != (kind[m], label[m]):
                     break
             else:
                 fixed += 1
@@ -375,9 +383,7 @@ class TestKindLevelScan:
 
     def test_sign_keys_give_bidegree_and_anti_invariant_slots(self):
         basis = oracle._keyed_basis(k3_enriques(), 3)
-        keys = oracle._sign_keys(basis)
-        assert set(keys) == {kind for kind, _ in basis}
-        for kind, ((p, q), mask) in keys.items():
+        for kind, (((p, q), mask), _) in basis.items():
             assert (p, q) == (sum(s[0] for s in kind), sum(s[1] for s in kind))
             assert [(mask >> m) & 1 for m in range(3)] == [
                 int(eigen == -1) for _, _, eigen in kind]
@@ -385,17 +391,17 @@ class TestKindLevelScan:
     def test_flipped_sign_bit_is_caught(self, monkeypatch):
         # negative control: one kind's sign flipped under a twist makes the
         # oracle disagree with the engine, and check 090 fail
-        sign_keys = oracle._sign_keys
+        keyed_basis = oracle._keyed_basis
         flipped = ((1, 1, -1),)
 
-        def corrupted(basis):
-            keys = sign_keys(basis)
-            if flipped in keys:
-                pq, mask = keys[flipped]
-                keys[flipped] = (pq, mask & ~1)
-            return keys
+        def corrupted(table, n):
+            basis = keyed_basis(table, n)
+            if flipped in basis:
+                (pq, mask), labels = basis[flipped]
+                basis[flipped] = (pq, mask & ~1), labels
+            return basis
 
-        monkeypatch.setattr(oracle, "_sign_keys", corrupted)
+        monkeypatch.setattr(oracle, "_keyed_basis", corrupted)
         table = k3_enriques()
         assert projector_tables(table, 1)["G"] != invariant_dims(table, 1, "G")
         status = {r.check_id: r.status for r in cli.run_paper_checks(3)}
