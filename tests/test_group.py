@@ -125,7 +125,23 @@ class TestEnumeration:
             assert len(kept) == group_order(n, which)
             assert enumerate_group(n, which) == kept
 
-    @pytest.mark.parametrize("which", ["G"])
+    @pytest.mark.parametrize("which", ["G", "H"])
+    def test_order_bound(self, which, monkeypatch):
+        # both orders at n = 8 exceed the bound; no element may be built,
+        # and the refusal names the one walk of G that both witnesses filter
+        import itertools
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("elements enumerated past the order bound")
+
+        monkeypatch.setattr(itertools, "permutations", refuse)
+        monkeypatch.setattr(itertools, "product", refuse)
+        assert group_order(8, which) > WORK_GUARD
+        with pytest.raises(TooLarge, match="the elements of G at n = 8 "
+                                           f"exceed the work guard {WORK_GUARD}"):
+            enumerate_group(8, which)
+
+    @pytest.mark.parametrize("which", WHICH)
     def test_elements_refused_before_any_pair(self, which, monkeypatch):
         # the orders of G and H at n = 8 exceed the bound; the walk of G
         # trips the work guard at the call, before a permutation is
