@@ -47,8 +47,9 @@ def euler_product_coefficients(e: int, n_max: int) -> list[int]:
     """Coefficients of q^0..q^n_max in prod_{m>=1} (1 - q^m)^(-e).  Each
     factor is the binomial series sum_k C(e+k-1, k) q^(mk), built by
     c_k = c_(k-1) (e+k-1) / k, which divides exactly for every integer e."""
-    coeffs = [0] * (n_max + 1)
-    coeffs[0] = 1
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    coeffs = [1] + [0] * n_max
     for m in range(1, n_max + 1):
         factor = {0: 1}
         for k in range(1, n_max // m + 1):

@@ -83,34 +83,58 @@ def _power_terms(seeds, n: int) -> list[dict[tuple[int, int], int]]:
     return terms
 
 
+class _Layout:
+    """Where :func:`_newton` packs a coefficient: (p, q), of weight d = (p+q)/2
+    and level e = (p-q)/2, goes in slot d*W + e + R, R bounding |e| up to X_n
+    and W = 2R + 1, so the point is at slot R, the origin, a product's entries
+    at sums of offsets from it, and X_n in ``size`` slots.  As psi^r keeps p = q
+    and PE[A + B] = PE[A] * PE[B], the diagonal part of the terms runs as a
+    series F on ``diagonal`` (R = 0: one slot per weight) and the rest as L on
+    this one, F's slot d moving L up d rows of ``row`` slots."""
+
+    def __init__(self, terms, n, bits):
+        # X_n has no level or weight past n * max_j (that of terms[j-1]) / j
+        reach = max((abs(p - q) // 2 * n // j for j, t in enumerate(terms, 1)
+                     for p, q in t), default=0)
+        weight = max(((p + q) // 2 * n // j for j, t in enumerate(terms, 1)
+                      for p, q in t), default=0)
+        row = 2 * reach + 1
+        self.origin, self.row, self.size = reach, row, (weight + 1) * row
+        self.diagonal = type(self)((), n, bits) if reach else self
+        # each term's entries on and off the diagonal, as sorted (bits * offset, c)
+        self.shifts = [[] for _ in terms], [[] for _ in terms]
+        for a, b, t in zip(*self.shifts, terms):
+            for (p, q), c in t.items():
+                w, part = (1, a) if p == q else (row, b)
+                part.append((((p + q) // 2 * w + (p - q) // 2) * bits, c))
+            a.sort()
+            b.sort()
+
+    def decode(self, coeffs, first):
+        """((p, q), c) for each nonzero c of coeffs, in slots first, first + 1, ..."""
+        width, reach = self.row, self.origin
+        for slot, c in compress(enumerate(coeffs, first), coeffs):
+            d, e = divmod(slot, width)
+            yield (d + e - reach, d - e + reach), c
+
+
 def _newton(terms: list[dict[tuple[int, int], int]], dimension: int):
     """coefficient(m), the decoder of X_m for 0 <= m <= len(terms), from
     m * X_m = sum_{j=1..m} terms[j-1] * X_(m-j), with X_0 the point, X_m of
     dimension m * dimension and each term a {(p, q): c} dict, c >= 0.  Odd
-    degrees are rejected once, before any product: every X_m's support is a
-    sum of term supports.
+    degrees are rejected once, before any product: X_m adds term degrees.
 
-    psi^r keeps p = q, so the terms are those of the diagonal part A plus
-    those of the off-diagonal part B, and as PE[A + B] = PE[A] * PE[B] the
-    recurrence runs for the series F of A, weight d = (p+q)/2 in slot d, and
-    for L of B, level e = (p-q)/2 in slot d*W + e + R, R bounding |e| and
-    W = 2R + 1: each coefficient one integer, shifted down past its empty
-    low slots.  X_m = sum_i F_i * L_(m-i) shift-adds L_(m-i) once per slot of
-    F_i, pairwise in order of offset; with no off-diagonal entry, X = F.
-    The recurrence on total dimensions bounds each coefficient of X_m, and
-    so of its parts F_m and L_m (no entry is negative), below 2^top.  A slot
-    is top + n.bit_length() bits in whole 64-bit words, so no slot of
-    m * F_m, m * L_m or X_m carries.
+    Each coefficient is one integer in the slots of :class:`_Layout`, and
+    X_m = sum_i F_i * L_(m-i).  The recurrence on total dimensions bounds
+    each coefficient of X_m, and so of F_m and L_m (no entry is negative),
+    below 2^top.  A slot is top + n.bit_length() bits in whole 64-bit words,
+    so no slot of m * F_m, m * L_m or X_m carries.
 
     A step adds shifted small multiples into acc and keeps quo = acc // m
     packed, accepted when acc % m == 0 and no slot of quo has a bit at or
     above top: then m * w < 2^bits for every slot w of quo, so every slot of
     acc is exactly m * w and none hides a remainder.  A failed test raises
-    IntegralityViolation naming the first slot that m does not divide.  Both
-    series run once, here; X_m is joined, passes the same bound test and is
-    decoded into a validated table only when read.  One reader gives the
-    slots of F_i to the join and of X_m to the decoder: native 64-bit words
-    when a slot is one word on a little-endian host, else int.from_bytes."""
+    IntegralityViolation naming the first slot that m does not divide."""
     _reject_odd(pq for term in terms for pq in term)
     n, dims, totals = len(terms), [sum(t.values()) for t in terms], [1]
     for m in range(1, n + 1):
@@ -118,20 +142,11 @@ def _newton(terms: list[dict[tuple[int, int], int]], dimension: int):
     top = max(totals).bit_length()
     words = -(-(top + n.bit_length()) // 64)
     bits, size = 64 * words, 8 * words
-    reach = max((abs(p - q) // 2 * n // j for j, t in enumerate(terms, 1)
-                 for p, q in t), default=0)
-    # X_n has no weight past n * max_j (top weight of terms[j-1]) / j
-    weight = max(((p + q) // 2 * n // j for j, t in enumerate(terms, 1)
-                  for p, q in t), default=0)
-    width, diag, off = 2 * reach + 1, [[] for _ in terms], [[] for _ in terms]
-    for a, b, t in zip(diag, off, terms):
-        for (p, q), c in t.items():
-            w, part = (1, a) if p == q else (width, b)
-            part.append((((p + q) // 2 * w + (p - q) // 2) * bits, c))
-        a.sort()
-        b.sort()
+    layout = _Layout(terms, n, bits)
+    diag, off = layout.shifts
+    del layout.shifts  # the decoder keeps the layout; the terms die with this call
     mask = int.from_bytes(((1 << bits) - (1 << top)).to_bytes(size, "little")
-                          * ((weight + 1) * width), "little")
+                          * layout.size, "little")
     native = words == 1 and sys.byteorder == "little"  # a slot is one native word
 
     def read(value):
@@ -139,21 +154,15 @@ def _newton(terms: list[dict[tuple[int, int], int]], dimension: int):
         return memoryview(raw).cast("Q") if native else [
             int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
 
-    def slots(value, base, width=width, reach=reach):
-        coeffs = read(value)
-        for slot, c in compress(enumerate(coeffs, base // bits), coeffs):
-            d, e = divmod(slot, width)
-            yield (d + e - reach, d - e + reach), c
-
-    def series(shifts, width, reach):
-        packed = [(1, reach * bits)]
+    def series(shifts, at):
+        packed = [(1, at.origin * bits)]
         for m in range(1, n + 1):
             pairs = list(zip(reversed(packed), shifts))
             base = min((b + term[0][0] for (_, b), term in pairs if term), default=0)
             acc = sum(x * c << b + s - base for (x, b), term in pairs for s, c in term)
             quo, rem = divmod(acc, m)
             if rem or quo & mask:
-                for pq, value in slots(acc, base, width, reach):
+                for pq, value in at.decode(read(acc), base // bits):
                     if value % m:
                         raise IntegralityViolation(
                             f"Newton sum {value} at {pq} does not divide by {m}")
@@ -163,11 +172,11 @@ def _newton(terms: list[dict[tuple[int, int], int]], dimension: int):
             packed.append((quo, base))
         return packed
 
-    fs = series(diag, 1, 0)
-    if reach:
-        ls = series(off, width, reach)
-        # F_i as a shift list: its weight d moves L_(m-i) up d rows of W slots
-        rows = [[((b // bits + d) * width * bits, f) for d, f in enumerate(read(x)) if f]
+    fs, joined = series(diag, layout.diagonal), any(off)
+    if joined:
+        ls, stride = series(off, layout), layout.row * bits
+        # F_i as a shift list: its slot d moves L_(m-i) up d rows
+        rows = [[((b // bits + d) * stride, f) for d, f in enumerate(read(x)) if f]
                 for x, b in fs]
 
     def total(copies, lo, hi):
@@ -181,15 +190,15 @@ def _newton(terms: list[dict[tuple[int, int], int]], dimension: int):
         return o, v + (v1 << o1 - o)
 
     def coefficient(m):
-        acc, base = fs[m]
-        if reach:
+        (acc, base), at = fs[m], layout.diagonal
+        if joined:
             copies = sorted((b + s, x, f) for (x, b), row
                             in zip(reversed(ls[:m + 1]), rows) for s, f in row)
-            base, acc = total(copies, 0, len(copies))
+            (base, acc), at = total(copies, 0, len(copies)), layout
             if acc & mask:
                 raise IntegralityViolation(f"Newton coefficient {m}: a slot reaches "
                                            f"2^{top}, past the bound from total dimensions")
-        return HodgeTable(dict(slots(acc, base)), m * dimension)
+        return HodgeTable(dict(at.decode(read(acc), base // bits)), m * dimension)
     return coefficient
 
 

@@ -247,6 +247,13 @@ class TestEulerCheck:
         assert euler_product_coefficients(12, 3) == [1, 12, 90, 520]
         assert euler_product_coefficients(24, 2) == [1, 24, 324]
         assert euler_product_coefficients(0, 3) == [1, 0, 0, 0]
+        assert euler_product_coefficients(24, 0) == [1]
+
+    @pytest.mark.parametrize("n_max", [-1, -5])
+    def test_negative_bound_rejected(self, n_max):
+        # as hilbert_series does, not an IndexError from an empty list
+        with pytest.raises(ValueError, match=rf"^n_max must be >= 0, got {n_max}$"):
+            euler_product_coefficients(24, n_max)
 
     def test_negative_exponent_gives_pentagonal_series(self):
         # prod (1 - q^m) = sum_j (-1)^j q^(j(3j-1)/2), Euler's pentagonal theorem

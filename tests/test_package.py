@@ -137,7 +137,7 @@ AUDIT_ENTRIES = _defined_in("group", "oracle") + [
     "cover_diamond_n2", "_product", "_average"]
 PRODUCTION_ENTRIES = ["invariant_dims", "invariant_series", "sym_powers", "sym_product",
                       "hilbert_series", "hilbert_diamond"]
-PRODUCTION_KERNEL = ["_newton", "_power_terms", "_symmetric", "_goettsche"]
+PRODUCTION_KERNEL = ["_newton", "_Layout", "_power_terms", "_symmetric", "_goettsche"]
 
 
 def _call_graph():
