@@ -45,7 +45,10 @@ def _validated_entries(entries, dimension):
     bound = 2 * dimension
     clean = {}
     for key, value in entries.items():
-        p, q = key
+        try:
+            p, q = key
+        except (TypeError, ValueError):  # not a pair: refused below as a non-int bidegree
+            p = q = None
         if type(p) is not int or type(q) is not int or type(value) is not int:
             raise ValueError(f"bidegree and dimension must be int, got {key!r}: {value!r}")
         if p < 0 or q < 0:
@@ -174,8 +177,10 @@ class EquivHodgeTable(_Table):
 
     def __init__(self, entries: Mapping[tuple[int, int], tuple[int, int]],
                  dimension: int):
-        # a non-int key is left to the + eigenspace's check, which names it
-        _reject_odd(pq for pq in entries if type(pq[0]) is int and type(pq[1]) is int)
+        # any other key is left to the + eigenspace's check, which names it
+        _reject_odd(k for k in entries if type(k) is tuple and [*map(type, k)] == [int, int])
+        for pq in (pq for pq, s in entries.items() if type(s) is not tuple or len(s) != 2):
+            raise ValueError(f"split dimensions must be a pair, got {pq!r}: {entries[pq]!r}")
         plus = HodgeTable({pq: dp for pq, (dp, _) in entries.items()}, dimension)
         minus = HodgeTable({pq: dm for pq, (_, dm) in entries.items()}, dimension)
         super().__init__({pq: (plus[pq], minus[pq]) for pq in entries

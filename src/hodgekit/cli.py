@@ -304,7 +304,7 @@ def cmd_diamond(args) -> int:
     if args.op in ("hilb", "cover") and table.dimension != 2:
         raise ValueError(f"{args.op} needs a surface (dimension 2), but {name} "
                          f"has dimension {table.dimension}")
-    size = {"hilb": 2 * n, "cover": 4}.get(args.op, n * table.dimension)
+    size = n * table.dimension  # 2n for hilb and cover: their table is a surface
     if size > DIAMOND_DIMENSION_MAX:
         raise TooLarge(f"{args.op} {n} of {name} has complex dimension {size}, "
                        f"above the diamond bound {DIAMOND_DIMENSION_MAX}")

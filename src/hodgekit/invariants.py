@@ -100,7 +100,7 @@ class _Layout:
                       for p, q in t), default=0)
         row = 2 * reach + 1
         self.origin, self.row, self.size = reach, row, (weight + 1) * row
-        self.diagonal = type(self)((), n, bits) if reach else self
+        self.diagonal = _Layout((), n, bits) if reach else self
         # each term's entries on and off the diagonal, as sorted (bits * offset, c)
         self.shifts = [[] for _ in terms], [[] for _ in terms]
         for a, b, t in zip(*self.shifts, terms):

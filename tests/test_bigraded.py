@@ -281,8 +281,10 @@ class TestExactIntegers:
         ({(True, 0): 1}, 1, "(True, 0): 1"),
         ({(0, 2.0): 1}, 1, "(0, 2.0): 1"),
         ({("0", 0): 1}, 1, "('0', 0): 1"),
+        ({5: 1}, 2, "got 5: 1"),
+        ({(1, 2, 3): 1}, 2, "got (1, 2, 3): 1"),
     ], ids=["float-value", "bool-value", "float-dim", "bool-dim", "bool-key",
-            "float-key", "str-key"])
+            "float-key", "str-key", "int-key", "triple-key"])
     def test_plain_refuses_non_int(self, entries, dimension, named):
         with pytest.raises(ValueError, match=re.escape(named)):
             HodgeTable(entries, dimension)
@@ -293,7 +295,13 @@ class TestExactIntegers:
         ({(0, 0): (1, 0)}, 1.5, "got 1.5"),
         ({(0, 0): (1, 0)}, True, "got True"),
         ({(True, 1): (1, 0)}, 1, "(True, 1): 1"),
-    ], ids=["float-plus", "bool-minus", "float-dim", "bool-dim", "bool-key"])
+        ({(0, 0): 1}, 2, "got (0, 0): 1"),
+        ({(0, 0): (1, 0, 0)}, 2, "got (0, 0): (1, 0, 0)"),
+        ({(0, 0): [1, 0]}, 2, "got (0, 0): [1, 0]"),
+        ({5: (1, 0)}, 2, "got 5: 1"),
+        ({(1, 2, 3): (1, 0)}, 2, "got (1, 2, 3): 1"),
+    ], ids=["float-plus", "bool-minus", "float-dim", "bool-dim", "bool-key", "int-value",
+            "triple-value", "list-value", "int-key", "triple-key"])
     def test_split_refuses_non_int(self, entries, dimension, named):
         with pytest.raises(ValueError, match=re.escape(named)):
             EquivHodgeTable(entries, dimension)
@@ -302,7 +310,8 @@ class TestExactIntegers:
         ({("a", 0): (1, 0)}, ValueError, "must be int, got ('a', 0): 1"),
         ({(0.5, 0.5): (1, 0)}, ValueError, "must be int, got (0.5, 0.5): 1"),
         ({(5, 0): (1, 0)}, OddCohomologyUnsupported, "odd total degree at (5, 0)"),
-    ], ids=["str-key", "float-key", "odd-out-of-range"])
+        ({(0, 0): 1, (1, 0): 1}, OddCohomologyUnsupported, "odd total degree at (1, 0)"),
+    ], ids=["str-key", "float-key", "odd-out-of-range", "odd-before-values"])
     def test_split_checks_key_types_before_odd_degrees(self, entries, error, named):
         # an int key of odd degree is refused as odd even out of range, so a
         # spec's odd row is still its first refusal

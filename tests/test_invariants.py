@@ -682,14 +682,15 @@ class TestLevelSplit:
 
 def kernel_tables():
     """Every series the kernel builds for the presets and seeded tables, to
-    n = 20: sym_powers, hilbert_series on surfaces, invariant_series."""
+    n = 20, as (route, input, series): sym_powers, hilbert_series on
+    surfaces, invariant_series."""
     seeded_surface = load_surface_spec(GOLDEN_DIR / "specs" / "seeded-surface-3.json")[1]
     threefold = load_surface_spec(GOLDEN_DIR / "specs" / "seeded-threefold-1.json")[1]
     split = [k3_enriques(), threefold, *seeded_equiv_tables(6)]
     surfaces = [k3(), enriques(), seeded_surface.forget()]
-    return ([sym_powers(t, 20) for t in surfaces + [t.forget() for t in split]]
-            + [hilbert_series(s, 20) for s in surfaces]
-            + [invariant_series(t, 20, which) for t in split for which in WHICH])
+    return ([("sym", t, sym_powers(t, 20)) for t in surfaces + [t.forget() for t in split]]
+            + [("hilb", s, hilbert_series(s, 20)) for s in surfaces]
+            + [(which, t, invariant_series(t, 20, which)) for t in split for which in WHICH])
 
 
 def test_plain_layout_gives_the_same_tables(monkeypatch):
@@ -697,28 +698,75 @@ def test_plain_layout_gives_the_same_tables(monkeypatch):
     monkeypatch.setattr(mod, "_Layout", PlainLayout)
     got = kernel_tables()
     assert len(got) == len(want) == 38
-    for series, expected in zip(got, want):
+    for (_, _, series), (_, _, expected) in zip(got, want):
         assert_same_series(series, expected)
+
+
+def sym_euler(e, n_max):
+    """e(Sym^n V) = C(e + n - 1, n) for n = 0..n_max, V of Euler number e
+    in even degrees only."""
+    return [math.comb(e + n - 1, n) if n else 1 for n in range(n_max + 1)]
+
+
+def euler_numbers(route, table, n_max):
+    """The Euler numbers of a kernel series from its input's alone: Sym^n
+    of the table for sym and Sn, of the + eigenspace for G, of each
+    eigenspace summed for H (from n = 1: at n = 0 both are the one point),
+    and Goettsche's Euler product for hilb.  An input has even degrees only,
+    so its Euler number is its total dimension."""
+    if route == "hilb":
+        return euler_product_coefficients(table.total_dim(), n_max)
+    if route in ("sym", "Sn"):
+        return sym_euler(table.total_dim(), n_max)
+    plus = sym_euler(table.plus_part().total_dim(), n_max)
+    if route == "G":
+        return plus
+    minus = sym_euler(table.minus_part().total_dim(), n_max)
+    return [1] + [a + b for a, b in zip(plus[1:], minus[1:])]
+
+
+def assert_necessary(x):
+    """Hodge symmetry, Serre duality, Hard Lefschetz and h^{0,0} = 1."""
+    assert x[0, 0] == 1, x
+    assert is_symmetric(x), x
+    assert satisfies_duality(x), x
+    assert all(d <= x[p + 1, q + 1] for (p, q), d in x.items() if p + q < x.dimension), x
 
 
 @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
 def test_diamonds_meet_necessary_conditions(layout, monkeypatch):
     # Hodge symmetry, Serre duality, Hard Lefschetz and h^{0,0} = 1 on every
-    # diamond the kernel returns.  These conditions are weak: a kernel that
-    # doubles Goettsche's k = 2 seed keeps all of them for n <= 6 and only
-    # the Euler numbers catch it, so they complement the independent routes
-    # and do not count as one
+    # diamond the kernel returns, and the Euler numbers of every series it
+    # builds.  These conditions are weak and count as no independent route,
+    # but the Euler numbers catch what the rest miss (see the doubled seed
+    # below)
     monkeypatch.setattr(mod, "_Layout", layout)
     diamonds = [x for s in (k3(), enriques())
                 for x in hilbert_series(s, 20) + sym_powers(s, 20)]
     diamonds += [x for which in WHICH for x in invariant_series(k3_enriques(), 20, which)]
     assert len(diamonds) == 147
     for x in diamonds:
-        assert x[0, 0] == 1, x
-        assert is_symmetric(x), x
-        assert satisfies_duality(x), x
-        assert all(d <= x[p + 1, q + 1] for (p, q), d in x.items()
-                   if p + q < x.dimension), x
+        assert_necessary(x)
+    for route, table, series in kernel_tables():
+        assert [x.euler() for x in series] == euler_numbers(route, table, 20), (route, table)
+
+
+def test_only_euler_numbers_catch_a_doubled_goettsche_seed(monkeypatch):
+    # a kernel fed twice Goettsche's k = 2 seed keeps the other necessary
+    # conditions for n <= 6; its Euler numbers are off from n = 2
+    def doubled(seeds, n):
+        seeds = list(seeds)
+        seeds[1] = {pq: 2 * c for pq, c in seeds[1].items()}
+        return _power_terms(seeds, n)
+
+    monkeypatch.setattr(hilbert, "_power_terms", doubled)
+    series = hilbert_series(k3(), 6)
+    for x in series:
+        assert_necessary(x)
+    got, want = [x.euler() for x in series], euler_numbers("hilb", k3(), 6)
+    assert got[:2] == want[:2]
+    assert (got[2], want[2]) == (348, 324)
+    assert all(g != w for g, w in zip(got[2:], want[2:]))
 
 
 class TestSymProduct:
