@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -193,6 +194,50 @@ class TestSharedParser:
 
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()
+
+
+#: argv, exit code, where the phrase shows and the phrase.  "usage" is a
+#: usage error: SystemExit(2) with the usage, then the phrase, on stderr;
+#: "help" is SystemExit(0) with the usage on stdout; "out" and "err" are the
+#: streams of a command that ran.  A phrase stops at the offending word: the
+#: wording of argparse's "(choose from ...)" list varies between Pythons.
+USAGE_CASES = [
+    ((), 2, "usage", "the following arguments are required: command"),
+    (("frob",), 2, "usage", "argument command: invalid choice: 'frob'"),
+    (("diamond", "hilb"), 2, "usage", "the following arguments are required: n"),
+    (("diamond", "hilb", "x"), 2, "usage", "argument n: invalid int value: 'x'"),
+    (("diamond", "quotient", "2", "K"), 2, "usage", "argument subgroup: invalid choice: 'K'"),
+    (("diamond", "--preset", "k3", "--spec", "s.json", "hilb", "2"), 2, "usage",
+     "argument --spec: not allowed with argument --preset"),
+    (("diamond", "quotient", "2", "H", "extra"), 2, "usage", "unrecognized arguments: extra"),
+    (("diamond", "--bogus", "hilb", "2"), 2, "usage", "unrecognized arguments: --bogus"),
+    (("diamond", "--format"), 2, "usage", "argument --format: expected one argument"),
+    (("verify-paper", "--n-max", "x"), 2, "usage", "argument --n-max: invalid int value: 'x'"),
+    (("diamond", "--format=json", "hilb", "2"), 0, "out", '"name": "hilb 2 of k3_enriques"'),
+    (("diamond", "hilb", "--format", "json", "2"), 0, "out", '"name": "hilb 2 of k3_enriques"'),
+    (("diamond", "--form", "json", "hilb", "2"), 0, "out", '"name": "hilb 2 of k3_enriques"'),
+    (("diamond", "hilb", "-1"), 2, "err", "error: n must be >= 1, got -1"),
+    (("-h",), 0, "help", "verify-paper"),
+    (("diamond", "-h"), 0, "help", "--preset"),
+    (("verify-paper", "--help"), 0, "help", "--n-max"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stream, phrase", USAGE_CASES,
+                         ids=[" ".join(case[0]) or "no-command" for case in USAGE_CASES])
+def test_usage_contract(capsys, argv, code, stream, phrase):
+    with pytest.raises(SystemExit) if stream in ("usage", "help") else nullcontext() as exc:
+        returned = main(list(argv))
+    out, err = capsys.readouterr()
+    if stream == "usage":
+        assert (exc.value.code, out) == (2, "")
+        assert err.startswith("usage: hodgekit") and phrase in err
+    elif stream == "help":
+        assert (exc.value.code, err) == (0, "")
+        assert out.startswith("usage: hodgekit") and phrase in out
+    else:
+        assert returned == code
+        assert phrase in (out if stream == "out" else err)
 
 
 class TestSurfaceSpecInput:
