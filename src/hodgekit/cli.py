@@ -1,24 +1,35 @@
 """Command-line front end: diamond printing and the one-shot audit report.
 
+``main(argv)`` parses the fixed grammar of its two commands itself,
+
+    hodgekit diamond [--preset P | --spec FILE] [--format F] op n [subgroup]
+    hodgekit verify-paper [--n-max N] [--format F]
+
+taking ``--flag value`` or ``--flag=value``, a unique prefix of a flag,
+options between positionals and ``-h``/``--help``; a word such as ``-1`` is
+a value.  Usage errors are reported as argparse reports them.
+
 Exit codes: 0 success, 1 at least one audit check failed, 2 usage or parse
 error (including ``hilb`` or ``cover`` of a table that is not a surface),
 3 unsupported input: odd-degree cohomology, a ``diamond`` request with n
 above :data:`DIAMOND_N_MAX` or whose diamond's complex dimension exceeds
 :data:`DIAMOND_DIMENSION_MAX`, or a ``verify-paper`` request with
-``--n-max`` above :data:`VERIFY_N_MAX`, rejected before any work.  A check
-whose computed value is internally consistent but disagrees with a
-published figure is reported as ``discrepancy-noted`` and does not fail the
-run.
+``--n-max`` above :data:`VERIFY_N_MAX`, rejected before any work; 141 when
+the reader of stdout closed it early (``hodgekit ... | head``), the code a
+shell gives a process killed by SIGPIPE.  A check whose computed value is
+internally consistent but disagrees with a published figure is reported as
+``discrepancy-noted`` and does not fail the run.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
+import os
 import sys
 from collections import namedtuple
+from types import SimpleNamespace
 
 from .bigraded import (
     EquivHodgeTable,
@@ -346,48 +357,115 @@ def cmd_verify_paper(args) -> int:
     return 1 if counts[FAIL] else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hodgekit",
-        description="Exact Hodge diamonds of symmetric products, Hilbert "
-                    "schemes of points, signed-permutation quotients and "
-                    "their double covers.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_FORMATS = ("table", "json", "csv")
 
-    diamond = sub.add_parser("diamond", help="print one Hodge diamond")
-    source = diamond.add_mutually_exclusive_group()
-    source.add_argument("--preset", choices=sorted(PRESETS), default="k3_enriques",
-                        help="built-in surface (default: k3_enriques)")
-    source.add_argument("--spec", metavar="FILE",
-                        help="JSON surface-spec file")
-    diamond.add_argument("--format", choices=("table", "json", "csv"),
-                         default="table")
-    diamond.add_argument("op", choices=("hilb", "sym", "quotient", "cover"))
-    diamond.add_argument("n", type=int)
-    diamond.add_argument("subgroup", nargs="?", choices=WHICH,
-                         help="acting group (quotient only)")
-    diamond.set_defaults(func=cmd_diamond)
-
-    verify = sub.add_parser("verify-paper",
-                            help="audit every published dimension")
-    verify.add_argument("--n-max", type=int, default=6, dest="n_max")
-    verify.add_argument("--format", choices=("table", "json", "csv"),
-                        default="table")
-    verify.set_defaults(func=cmd_verify_paper)
-    return parser
+#: The grammar main parses, per command: its options (each taking one
+#: value) and positionals, in order, as name -> (kind, default), where kind
+#: is int, the allowed values, or None for any string; and how many
+#: positionals must be given.
+_COMMANDS = {
+    "diamond": ({"--preset": (tuple(sorted(PRESETS)), "k3_enriques"),
+                 "--spec": (None, None), "--format": (_FORMATS, "table"),
+                 "op": (("hilb", "sym", "quotient", "cover"), None),
+                 "n": (int, None), "subgroup": (WHICH, None)}, 2),
+    "verify-paper": ({"--n-max": (int, 6), "--format": (_FORMATS, "table")}, 0),
+}
+_EXCLUSIVE = {"--preset": "--spec", "--spec": "--preset"}
+_USAGE = {
+    None: "usage: hodgekit [-h] {diamond,verify-paper} ...",
+    "diamond": "usage: hodgekit diamond [-h]\n"
+               "                        [--preset {enriques,k3,k3_enriques} | --spec FILE]\n"
+               "                        [--format {table,json,csv}]\n"
+               "                        {hilb,sym,quotient,cover} n [{Sn,G,H}]",
+    "verify-paper": "usage: hodgekit verify-paper [-h] [--n-max N_MAX] [--format {table,json,csv}]",
+}
 
 
-_parser = None  # built by the first main call, not at import
+def _exit(command, error=None):
+    """Exit as argparse does: on -h the usage on stdout and code 0, on a
+    usage error the usage and the error on stderr and code 2."""
+    out = sys.stderr if error else sys.stdout
+    print(_USAGE[command], file=out)
+    if error:
+        print(f"hodgekit{' ' + command if command else ''}: error: {error}", file=out)
+    raise SystemExit(2 if error else 0)
+
+
+def _is_option(word) -> bool:
+    # as in argparse, a negative number such as -1 is a value, not an option
+    return word[:1] == "-" and not word[1:2].isdigit()
+
+
+def _parse(argv):
+    """The arguments of argv's command, as its handler reads them."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--h", "--he", "--hel", "--help"):  # --help or a prefix
+        _exit(None)
+    if command not in _COMMANDS:
+        _exit(None, f"argument command: invalid choice: {command!r} (choose from "
+                    "'diamond', 'verify-paper')" if argv and not _is_option(command)
+              else "the following arguments are required: command")
+    grammar, required = _COMMANDS[command]
+    values, given, extras = {}, [], []
+    words = iter(argv[1:])
+    for word in words:
+        if word == "--":
+            given += words
+            continue
+        if not _is_option(word):
+            given.append(word)
+            continue
+        name, eq, value = word.partition("=")
+        found = [flag for flag in ("--help", *grammar) if flag.startswith(name)]
+        if name == "-h" or found == ["--help"]:
+            _exit(command)
+        if len(found) != 1:
+            extras.append(word)
+            continue
+        flag, value = found[0], value if eq else next(words, None)
+        if value is None or _is_option(value):
+            _exit(command, f"argument {flag}: expected one argument")
+        values[flag] = value
+        if _EXCLUSIVE.get(flag) in values:
+            _exit(command, f"argument {flag}: not allowed with argument {_EXCLUSIVE[flag]}")
+    positionals = [name for name in grammar if name[0] != "-"]
+    values.update(zip(positionals, given))
+    args = SimpleNamespace(command=command)
+    for name, (kind, default) in grammar.items():
+        value = values.get(name)
+        if value is None:
+            value = default
+        elif kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _exit(command, f"argument {name}: invalid int value: {value!r}")
+        elif kind is not None and value not in kind:
+            _exit(command, f"argument {name}: invalid choice: {value!r} "
+                           f"(choose from {', '.join(map(repr, kind))})")
+        setattr(args, name.lstrip("-").replace("-", "_"), value)
+    if len(given) < required:
+        missing = ", ".join(positionals[len(given):required])
+        _exit(command, f"the following arguments are required: {missing}")
+    extras += given[len(positionals):]
+    if extras:
+        _exit(None, "unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        # named at call time, so that a wrapper set on the module, such as a
+        # span recorder's, sees the call
+        code = (cmd_diamond if args.command == "diamond" else cmd_verify_paper)(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (hodgekit ... | head): stop quietly, with
+        # stdout pointed at devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (OddCohomologyUnsupported, TooLarge) as exc:
         print(f"unsupported input: {exc}", file=sys.stderr)
         return 3

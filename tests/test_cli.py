@@ -149,8 +149,8 @@ class TestRenderResultsJson:
 
 
 class TestSharedParser:
-    """main builds its parser on the first call and parses every later argv
-    with it afresh: no option, default or error carries over."""
+    """main keeps no state between calls: no option, default or error
+    carries over from one argv to the next."""
 
     @staticmethod
     def golden(name):
@@ -181,26 +181,13 @@ class TestSharedParser:
         name = "diamond-k3_enriques-quotient-H-5.txt"
         assert run_main(capsys, *dict(cases())[name])[:2] == (0, self.golden(name))
 
-    def test_main_builds_one_parser(self, capsys, monkeypatch):
-        built, build = [], cli.build_parser
-        monkeypatch.setattr(cli, "_parser", None)
-        monkeypatch.setattr(cli, "build_parser", lambda: built.append(None) or build())
-        run_main(capsys, "diamond", "--preset", "enriques", "sym", "2")
-        with pytest.raises(SystemExit):
-            main(["diamond", "frobnicate", "2"])
-        run_main(capsys, "verify-paper", "--n-max", "2")
-        run_main(capsys, "diamond", "--format", "csv", "hilb", "2")
-        assert len(built) == 1
-
-    def test_build_parser_returns_a_new_parser(self):
-        assert cli.build_parser() is not cli.build_parser()
-
 
 #: argv, exit code, where the phrase shows and the phrase.  "usage" is a
 #: usage error: SystemExit(2) with the usage, then the phrase, on stderr;
 #: "help" is SystemExit(0) with the usage on stdout; "out" and "err" are the
-#: streams of a command that ran.  A phrase stops at the offending word: the
-#: wording of argparse's "(choose from ...)" list varies between Pythons.
+#: streams of a command that ran.  The phrases are argparse's; each stops at
+#: the offending word, as argparse words its "(choose from ...)" list
+#: differently between Pythons.
 USAGE_CASES = [
     ((), 2, "usage", "the following arguments are required: command"),
     (("frob",), 2, "usage", "argument command: invalid choice: 'frob'"),
@@ -284,9 +271,9 @@ class TestSurfaceSpecInput:
         assert code == 2
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
-        code, _, _ = run_main(capsys, "diamond", "--spec",
-                              str(tmp_path / "none.json"), "hilb", "2")
-        assert code == 2
+        code, _, err = run_main(capsys, "diamond", "--spec",
+                                str(tmp_path / "none.json"), "hilb", "2")
+        assert code == 2 and "none.json" in err
 
     def test_non_geometric_spec_exits_2(self, capsys, tmp_path):
         path = self.write(tmp_path, {
@@ -590,14 +577,17 @@ class TestVerifyPaper:
         assert [args[1:] for args in calls["projector_tables"]] == [(1,), (2,), (3,)]
 
 
-def run_module(*argv):
-    """``python -m hodgekit.cli`` in a child that imports the package under
-    test, also when pytest alone put it on the path."""
+def module_env():
+    """The environment of a ``python -m hodgekit.cli`` child that imports the
+    package under test, also when pytest alone put it on the path."""
     src = str(Path(hodgekit.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_module(*argv):
     return subprocess.run([sys.executable, "-m", "hodgekit.cli", *argv],
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          capture_output=True, text=True, env=module_env())
 
 
 class TestConsoleEntry:
@@ -609,3 +599,17 @@ class TestConsoleEntry:
     def test_usage_error_exit_code(self):
         proc = run_module("diamond", "frobnicate", "2")
         assert proc.returncode == 2
+
+    def test_closed_stdout_ends_quietly(self):
+        # as in `hodgekit diamond --preset k3 hilb 40 | head -c 10`: the
+        # 233 kB diamond overfills the pipe, so a write fails after the close
+        proc = subprocess.Popen([sys.executable, "-m", "hodgekit.cli", "diamond",
+                                 "--preset", "k3", "hilb", "40"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=module_env())
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert head == b"hilb 40 of" and err == b""
