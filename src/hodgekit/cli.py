@@ -377,7 +377,8 @@ _USAGE = {
                "                        [--preset {enriques,k3,k3_enriques} | --spec FILE]\n"
                "                        [--format {table,json,csv}]\n"
                "                        {hilb,sym,quotient,cover} n [{Sn,G,H}]",
-    "verify-paper": "usage: hodgekit verify-paper [-h] [--n-max N_MAX] [--format {table,json,csv}]",
+    "verify-paper": ("usage: hodgekit verify-paper [-h] [--n-max N_MAX] "
+                     "[--format {table,json,csv}]"),
 }
 
 
