@@ -5,8 +5,10 @@ of the cohomology of a compact complex space; an :class:`EquivHodgeTable`
 additionally splits every piece into the +1/-1 eigenspaces of an involution.
 Both share one immutable core.  Bidegrees, dimensions and the complex
 dimension are exact nonnegative ``int`` (bool and float are refused with
-ValueError), zero entries are never stored, and every operation returns a
-new table.  An :class:`EquivHodgeTable` is checked as the two
+ValueError).  Every entry lies in the diamond, 0 <= p, q <= dimension: a
+table with an entry past it is refused with ValueError naming the entry
+when it is built.  Zero entries are never stored, and every operation
+returns a new table.  An :class:`EquivHodgeTable` is checked as the two
 :class:`HodgeTable` of its eigenspaces.
 
 Supported operations: direct sum, Kunneth tensor product (a diagonal shift
@@ -42,7 +44,6 @@ def _validated_entries(entries, dimension):
         raise ValueError(f"dimension must be an int, got {dimension!r}")
     if dimension < 0:
         raise ValueError(f"dimension must be nonnegative, got {dimension}")
-    bound = 2 * dimension
     clean = {}
     for key, value in entries.items():
         try:
@@ -53,9 +54,8 @@ def _validated_entries(entries, dimension):
             raise ValueError(f"bidegree and dimension must be int, got {key!r}: {value!r}")
         if p < 0 or q < 0:
             raise ValueError(f"invalid bidegree {key!r}")
-        if p > bound or q > bound:
-            raise ValueError(f"entry at {key!r} exceeds dimension {dimension} "
-                             f"and its weight bound {bound}")
+        if p > dimension or q > dimension:
+            raise ValueError(f"entry at {key!r} exceeds dimension {dimension}")
         if value < 0:
             raise ValueError(f"negative dimension at {key!r}")
         if value:
@@ -65,10 +65,10 @@ def _validated_entries(entries, dimension):
 
 def _require_surface(table, what: str, dimension: int) -> None:
     """Raise ValueError unless the table, plain or split, is one a compact
-    complex manifold of the given dimension can have: p, q <= dimension,
-    Hodge symmetry h^{p,q} = h^{q,p} and Serre duality h^{p,q} =
-    h^{n-p,n-q}, in each eigenspace of a split table.  The message opens
-    with ``what`` and names the dimension or the first failing entry."""
+    complex manifold of the given dimension can have: that dimension, Hodge
+    symmetry h^{p,q} = h^{q,p} and Serre duality h^{p,q} = h^{n-p,n-q}, in
+    each eigenspace of a split table.  The message opens with ``what`` and
+    names the dimension or the first failing entry."""
     n = table.dimension
     if n != dimension:
         raise ValueError(f"{what} (dimension {dimension}), got dimension {n}")
@@ -76,9 +76,6 @@ def _require_surface(table, what: str, dimension: int) -> None:
         (f" in the {sign} eigenspace", part)
         for sign, part in (("+", table.plus_part()), ("-", table.minus_part()))]
     for where, part in parts:
-        for p, q in part.support():
-            if p > n or q > n:
-                raise ValueError(f"{what}: entry at ({p}, {q}) exceeds dimension {n}")
         for (p, q), d in part.items():
             for rule, s, t in (("Hodge symmetry", q, p), ("Serre duality", n - p, n - q)):
                 if part[s, t] != d:
@@ -140,7 +137,8 @@ class _Table:
 
 
 class HodgeTable(_Table):
-    """Finitely supported map (p, q) -> dimension, plus the complex dimension."""
+    """Finitely supported map (p, q) -> dimension, plus the complex dimension,
+    with p, q <= dimension at every entry."""
 
     __slots__ = ()
     _zero = 0
@@ -370,8 +368,6 @@ def load_surface_spec(path) -> tuple[str, EquivHodgeTable]:
 def format_diamond(table: HodgeTable) -> str:
     """Render a table as a centered diamond, one total degree per row."""
     axis = table.dimension
-    for p, q in table.support():
-        axis = max(axis, p, q)
     cells = {}
     width = 1
     for k in range(2 * axis + 1):

@@ -6,8 +6,9 @@
     hodgekit verify-paper [--n-max N] [--format F]
 
 taking ``--flag value`` or ``--flag=value``, a unique prefix of a flag,
-options between positionals and ``-h``/``--help``; a word such as ``-1`` is
-a value.  Usage errors are reported as argparse reports them.
+options between positionals and ``-h``/``--help``; a lone ``-``, a negative
+number such as ``-1`` or ``-.5`` and a word holding a space are values, as
+argparse reads them.  Usage errors are reported as argparse reports them.
 
 Exit codes: 0 success, 1 at least one audit check failed, 2 usage or parse
 error (including ``hilb`` or ``cover`` of a table that is not a surface),
@@ -27,6 +28,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from collections import namedtuple
 from types import SimpleNamespace
@@ -392,9 +394,21 @@ def _exit(command, error=None):
     raise SystemExit(2 if error else 0)
 
 
-def _is_option(word) -> bool:
-    # as in argparse, a negative number such as -1 is a value, not an option
-    return word[:1] == "-" and not word[1:2].isdigit()
+#: argparse's pattern for a negative number, which is a value, not an option
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _is_option(word, flags=("--help",)) -> bool:
+    """Whether argparse reads word as an option of a parser with -h and these
+    flags.  A word opening with "-", other than "-" itself, is one if it
+    names -h or a prefix of a flag (up to any "="), and otherwise unless it
+    is a negative number such as -1 or -.5 or holds a space."""
+    if word[:1] != "-" or word == "-":
+        return False
+    name = word.partition("=")[0] if word[1] == "-" else word[:2]
+    if name == "-h" or any(flag.startswith(name) for flag in flags):
+        return True
+    return not (" " in word or _NEGATIVE_NUMBER.match(word))
 
 
 def _parse(argv):
@@ -407,24 +421,25 @@ def _parse(argv):
                     "'diamond', 'verify-paper')" if argv and not _is_option(command)
               else "the following arguments are required: command")
     grammar, required = _COMMANDS[command]
+    flags = ("--help", *grammar)
     values, given, extras = {}, [], []
     words = iter(argv[1:])
     for word in words:
         if word == "--":
             given += words
             continue
-        if not _is_option(word):
+        if not _is_option(word, flags):
             given.append(word)
             continue
         name, eq, value = word.partition("=")
-        found = [flag for flag in ("--help", *grammar) if flag.startswith(name)]
+        found = [flag for flag in flags if flag.startswith(name)]
         if name == "-h" or found == ["--help"]:
             _exit(command)
         if len(found) != 1:
             extras.append(word)
             continue
         flag, value = found[0], value if eq else next(words, None)
-        if value is None or _is_option(value):
+        if value is None or _is_option(value, flags):
             _exit(command, f"argument {flag}: expected one argument")
         values[flag] = value
         if _EXCLUSIVE.get(flag) in values:

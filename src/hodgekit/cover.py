@@ -78,8 +78,8 @@ def cover_diamond_n2(surface: EquivHodgeTable | None = None) -> HodgeTable:
     taken as the class-sum average, so no production kernel runs here; the
     two blow-up centers are copies of the involution quotient (for the K3
     preset: two Enriques surfaces), each times uv.  Raises ValueError, before
-    any work, for a table that is not a surface: dimension 2, and each
-    eigenspace within it with Hodge symmetry and Serre duality.
+    any work, for a table that is not a surface: dimension 2, and Hodge
+    symmetry and Serre duality in each eigenspace.
     """
     table = k3_enriques() if surface is None else surface
     _require_split(table)

@@ -29,8 +29,8 @@ def hilbert_series(surface: HodgeTable, n_max: int) -> list[HodgeTable]:
     """Diamonds of Hilb^0..Hilb^n_max, each of dimension 2n, by
     Newton's recurrence n * H_n = sum_j Q_j * H_(n-j) on log H(t).  Before
     any term is built, raises TypeError for a split table and ValueError for
-    a non-surface (dimension 2, entries within it, Hodge symmetry, Serre
-    duality): the product holds for surfaces only."""
+    a non-surface (dimension 2, Hodge symmetry, Serre duality): the product
+    holds for surfaces only."""
     return list(map(_goettsche(surface, n_max), range(n_max + 1)))
 
 

@@ -10,9 +10,8 @@ from hodgekit.bigraded import EquivHodgeTable, HodgeTable
 
 
 def _dimension_for(support):
-    # smallest dimension satisfying the p, q <= 2*dim storage bound
-    top = max((max(p, q) for p, q in support), default=0)
-    return (top + 1) // 2
+    # smallest dimension whose diamond holds every entry: p, q <= dimension
+    return max((max(p, q) for p, q in support), default=0)
 
 
 @st.composite

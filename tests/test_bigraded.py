@@ -190,8 +190,25 @@ class TestTableContracts:
             HodgeTable({(0, 0): -1}, 0)
 
     def test_weight_bound_enforced(self):
-        with pytest.raises(ValueError):
-            HodgeTable({(3, 0): 1}, 1)
+        # past the dimension, though within twice it
+        with pytest.raises(ValueError, match=re.escape("entry at (2, 0) exceeds dimension 1")):
+            HodgeTable({(2, 0): 1}, 1)
+
+    @pytest.mark.parametrize("build, named", [
+        (lambda: HodgeTable({(0, 0): 1, (4, 4): 1}, 2), "(4, 4) exceeds dimension 2"),
+        (lambda: HodgeTable({(0, 0): 1, (2, 2): 1}, 1), "(2, 2) exceeds dimension 1"),
+        (lambda: EquivHodgeTable({(0, 0): (1, 0), (4, 4): (1, 0)}, 2),
+         "(4, 4) exceeds dimension 2"),
+        (lambda: EquivHodgeTable({(0, 0): (1, 0), (4, 0): (0, 1)}, 2),
+         "(4, 0) exceeds dimension 2"),
+    ], ids=["plain", "plain-past-the-axis", "plus-eigenspace", "minus-eigenspace"])
+    def test_entry_past_the_dimension_is_refused(self, build, named):
+        # were they built, sym_product, tensor and invariant_dims would turn
+        # them into larger tables that are no diamonds, e.g. Sym^2 of the
+        # first with an entry at (8, 8) in dimension 4, and format_diamond
+        # would have to draw past the dimension
+        with pytest.raises(ValueError, match=re.escape(f"entry at {named}")):
+            build()
 
     def test_equality_is_support_and_values(self):
         assert HodgeTable({(0, 0): 1}, 0) == HodgeTable({(0, 0): 1}, 3)

@@ -204,6 +204,19 @@ USAGE_CASES = [
     (("diamond", "hilb", "--format", "json", "2"), 0, "out", '"name": "hilb 2 of k3_enriques"'),
     (("diamond", "--form", "json", "hilb", "2"), 0, "out", '"name": "hilb 2 of k3_enriques"'),
     (("diamond", "hilb", "-1"), 2, "err", "error: n must be >= 1, got -1"),
+    # a lone "-", a negative decimal and a word holding a space are values;
+    # "-1x" is an option, unless a flag's "=" comes first
+    (("diamond", "-", "2"), 2, "usage", "argument op: invalid choice: '-'"),
+    (("diamond", "hilb", "2", "-"), 2, "usage", "argument subgroup: invalid choice: '-'"),
+    (("diamond", "--format", "-"), 2, "usage", "argument --format: invalid choice: '-'"),
+    (("diamond", "--spec", "-", "hilb", "2"), 2, "err", "No such file or directory: '-'"),
+    (("diamond", "hilb", "-.5"), 2, "usage", "argument n: invalid int value: '-.5'"),
+    (("verify-paper", "--n-max", "-.5"), 2, "usage",
+     "argument --n-max: invalid int value: '-.5'"),
+    (("diamond", "hilb", "-1x"), 2, "usage", "the following arguments are required: n"),
+    (("diamond", "hilb", "2", "-x y"), 2, "usage", "argument subgroup: invalid choice: '-x y'"),
+    (("diamond", "--format=a b", "hilb", "2"), 2, "usage",
+     "argument --format: invalid choice: 'a b'"),
     (("-h",), 0, "help", "verify-paper"),
     (("diamond", "-h"), 0, "help", "--preset {" + ",".join(sorted(bigraded.PRESETS)) + "}"),
     (("verify-paper", "--help"), 0, "help", "--n-max"),
@@ -212,7 +225,8 @@ USAGE_CASES = [
 
 @pytest.mark.parametrize("argv, code, stream, phrase", USAGE_CASES,
                          ids=[" ".join(case[0]) or "no-command" for case in USAGE_CASES])
-def test_usage_contract(capsys, argv, code, stream, phrase):
+def test_usage_contract(capsys, monkeypatch, tmp_path, argv, code, stream, phrase):
+    monkeypatch.chdir(tmp_path)  # so that a file named "-" is missing
     with pytest.raises(SystemExit) if stream in ("usage", "help") else nullcontext() as exc:
         returned = main(list(argv))
     out, err = capsys.readouterr()

@@ -186,19 +186,18 @@ class TestHilbertSeries:
     ])
     def test_non_geometric_surface_refused_before_any_term(self, entries, named,
                                                             monkeypatch):
-        # HodgeTable stores entries up to (2 * dimension, 2 * dimension), so
-        # these are valid tables of dimension 2 that no surface has
+        # a table with an entry past its dimension is refused when it is
+        # built; the others are valid tables of dimension 2 that no surface has
         from hodgekit import hilbert as mod
 
         def refuse(*args):
             raise AssertionError("log term built for a non-geometric table")
 
         monkeypatch.setattr(mod, "_power_terms", refuse)
-        table = HodgeTable(entries, 2)
         with pytest.raises(ValueError, match=re.escape(named)):
-            hilbert_series(table, 2)
+            hilbert_series(HodgeTable(entries, 2), 2)
         with pytest.raises(ValueError, match=re.escape(named)):
-            hilbert_diamond(table, 2)
+            hilbert_diamond(HodgeTable(entries, 2), 2)
 
 
     @pytest.mark.parametrize("build", [hilbert_series, hilbert_diamond])

@@ -318,9 +318,9 @@ class TestNewtonKernel:
         # odd, so Sym^3 has weights 3, 5, 7, 9 and empty slots between; and
         # (2^40)^2 needs two 64-bit words a slot; (4, 2), (2, 4) add the
         # off-diagonal series and its join
-        surface = HodgeTable({(1, 1): 2 ** 40, (3, 3): 1, (4, 2): 1, (2, 4): 1}, 3)
+        surface = HodgeTable({(1, 1): 2 ** 40, (3, 3): 1, (4, 2): 1, (2, 4): 1}, 4)
         terms = [adams(surface, k) for k in range(1, 4)]
-        xs, want = sym_powers(surface, 3), reference_newton(terms, 3)
+        xs, want = sym_powers(surface, 3), reference_newton(terms, 4)
         for got, expected in zip(xs, want):
             assert got.items() == expected.items()
             assert got.dimension == expected.dimension
@@ -383,7 +383,7 @@ class TestNewtonKernel:
     @pytest.mark.parametrize("surface", [
         enriques(),
         k3_enriques().minus_part(),
-        HodgeTable({(0, 0): 1, (4, 0): 2, (2, 2): 3}, 2),
+        HodgeTable({(0, 0): 1, (4, 0): 2, (2, 2): 3}, 4),
     ], ids=["diagonal", "level-n", "entry-at-4-0"])
     def test_level_extremes_equal_reference(self, surface):
         terms = [adams(surface, k) for k in range(1, 9)]
@@ -393,8 +393,8 @@ class TestNewtonKernel:
         assert max(abs(p - q) // 2 for p, q in xs[8].support()) == 8 * reach
 
     def test_seeded_threefolds_equal_reference(self):
-        # entries up to degree 5, so most draws have dimension 3
-        threefolds = [t for t in seeded_equiv_tables(20, max_degree=5)
+        # entries up to degree 3, so most draws have dimension 3
+        threefolds = [t for t in seeded_equiv_tables(20, max_degree=3)
                       if t.dimension == 3]
         assert len(threefolds) >= 10
         for table in threefolds:
@@ -600,7 +600,7 @@ class TestLevelSplit:
     @pytest.mark.parametrize("n", [0, 1, 2, 20])
     @pytest.mark.parametrize("surface", [
         HodgeTable({(2, 0): 1, (0, 2): 1}, 2),
-        HodgeTable({(4, 0): 2, (0, 4): 2}, 2),
+        HodgeTable({(4, 0): 2, (0, 4): 2}, 4),
         enriques(),
         HodgeTable({(0, 0): 1, (1, 1): 3, (2, 2): 1}, 2),
         k3(),
@@ -608,8 +608,8 @@ class TestLevelSplit:
     def test_series_equal_reference(self, surface, n):
         # Goettsche's seeds keep each entry's level, so an off-diagonal-only
         # surface leaves the diagonal series at the point
-        self.assert_equals_reference([surface], n, 2)
-        self.assert_equals_reference(goettsche_seeds(surface, n), n, 2)
+        self.assert_equals_reference([surface], n, surface.dimension)
+        self.assert_equals_reference(goettsche_seeds(surface, n), n, surface.dimension)
 
     @given(surfaces())
     @settings(max_examples=8, deadline=None)
@@ -621,7 +621,7 @@ class TestLevelSplit:
         # the golden spec's threefold has off-diagonal entries in both
         # eigenspaces
         _, golden = load_surface_spec(GOLDEN_DIR / "specs" / "seeded-threefold-1.json")
-        drawn = [t for t in seeded_equiv_tables(20, max_degree=5) if t.dimension == 3]
+        drawn = [t for t in seeded_equiv_tables(20, max_degree=3) if t.dimension == 3]
         for table in [golden, *drawn[:2]]:
             for part in (table.forget(), table.plus_part(), table.minus_part()):
                 self.assert_equals_reference([part], 20, 3)
@@ -725,9 +725,9 @@ def euler_numbers(route, table, n_max):
     return [1] + [a + b for a, b in zip(plus[1:], minus[1:])]
 
 
-def assert_necessary(x):
-    """Hodge symmetry, Serre duality, Hard Lefschetz and h^{0,0} = 1."""
-    assert x[0, 0] == 1, x
+def assert_necessary(x, unit=True):
+    """Hodge symmetry, Serre duality, Hard Lefschetz and, if unit, h^{0,0} = 1."""
+    assert x[0, 0] == 1 or not unit, x
     assert is_symmetric(x), x
     assert satisfies_duality(x), x
     assert all(d <= x[p + 1, q + 1] for (p, q), d in x.items() if p + q < x.dimension), x
@@ -749,6 +749,25 @@ def test_diamonds_meet_necessary_conditions(layout, monkeypatch):
         assert_necessary(x)
     for route, table, series in kernel_tables():
         assert [x.euler() for x in series] == euler_numbers(route, table, 20), (route, table)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+def test_seeded_diamonds_meet_necessary_conditions(layout, monkeypatch):
+    # the same conditions on the golden seeded surface and threefold;
+    # h^{0,0} = 1 holds only where the input has it, and the threefold's V-
+    # has h^{0,0} = 2, so its sym, Sn and H series are spared that one
+    monkeypatch.setattr(mod, "_Layout", layout)
+    surface = load_surface_spec(GOLDEN_DIR / "specs" / "seeded-surface-3.json")[1].forget()
+    threefold = load_surface_spec(GOLDEN_DIR / "specs" / "seeded-threefold-1.json")[1]
+    unit = (hilbert_series(surface, 20) + sym_powers(surface, 20)
+            + invariant_series(threefold, 20, "G"))
+    other = (sym_powers(threefold.forget(), 20) + invariant_series(threefold, 20, "Sn")
+             + invariant_series(threefold, 20, "H"))
+    assert threefold.forget()[0, 0] == 3 and len(unit) == len(other) == 63
+    for x in unit:
+        assert_necessary(x)
+    for x in other:
+        assert_necessary(x, unit=False)
 
 
 def test_only_euler_numbers_catch_a_doubled_goettsche_seed(monkeypatch):
