@@ -411,6 +411,20 @@ def _is_option(word, flags=("--help",)) -> bool:
     return not (" " in word or _NEGATIVE_NUMBER.match(word))
 
 
+def _value(command, name, kind, value):
+    """value read as name's kind in command's grammar, checked as argparse
+    checks each value when it reads it."""
+    if kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            _exit(command, f"argument {name}: invalid int value: {value!r}")
+    if kind is not None and value not in kind:
+        _exit(command, f"argument {name}: invalid choice: {value!r} "
+                       f"(choose from {', '.join(map(repr, kind))})")
+    return value
+
+
 def _parse(argv):
     """The arguments of argv's command, as its handler reads them."""
     command = argv[0] if argv else None
@@ -441,25 +455,15 @@ def _parse(argv):
         flag, value = found[0], value if eq else next(words, None)
         if value is None or _is_option(value, flags):
             _exit(command, f"argument {flag}: expected one argument")
-        values[flag] = value
+        values[flag] = _value(command, flag, grammar[flag][0], value)
         if _EXCLUSIVE.get(flag) in values:
             _exit(command, f"argument {flag}: not allowed with argument {_EXCLUSIVE[flag]}")
     positionals = [name for name in grammar if name[0] != "-"]
-    values.update(zip(positionals, given))
+    for name, value in zip(positionals, given):
+        values[name] = _value(command, name, grammar[name][0], value)
     args = SimpleNamespace(command=command)
-    for name, (kind, default) in grammar.items():
-        value = values.get(name)
-        if value is None:
-            value = default
-        elif kind is int:
-            try:
-                value = int(value)
-            except ValueError:
-                _exit(command, f"argument {name}: invalid int value: {value!r}")
-        elif kind is not None and value not in kind:
-            _exit(command, f"argument {name}: invalid choice: {value!r} "
-                           f"(choose from {', '.join(map(repr, kind))})")
-        setattr(args, name.lstrip("-").replace("-", "_"), value)
+    for name, (_, default) in grammar.items():
+        setattr(args, name.lstrip("-").replace("-", "_"), values.get(name, default))
     if len(given) < required:
         missing = ", ".join(positionals[len(given):required])
         _exit(command, f"the following arguments are required: {missing}")

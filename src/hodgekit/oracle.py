@@ -4,8 +4,8 @@ Builds an explicit labeled basis of the n-th tensor power, applies group
 elements as signed permutations of basis labels, and reads invariant
 dimensions off the averaging projector: per bidegree, the average over the
 group of the signed count of fixed labels.  Labels are index tuples under
-their kind, built once per n; G is walked once, each permutation with every
-twist mask.  A permutation fixes no label of a kind that differs from itself
+their kind, built once per n; kinds with the same slot dimensions share one
+tuple of labels.  G is walked once, each permutation with every twist mask.  A permutation fixes no label of a kind that differs from itself
 at a moved slot; every label of every other kind is compared slot by slot.
 Fixed counts are merged by sign key once per permutation, and each element
 signs them into the bidegree sums of each group ``_groups_containing`` names.
@@ -29,20 +29,32 @@ Label = tuple[int, ...]
 #: A kind's sign key: its bidegree and the bitmask of its -1 eigenspace
 #: slots; an element negates its labels when it twists an odd number of them.
 _SignKey = tuple[tuple[int, int], int]
-_Basis = dict[_Kind, tuple[_SignKey, list[Label]]]
+_Basis = dict[_Kind, tuple[_SignKey, tuple[Label, ...]]]
 
 
 def _keyed_basis(table: EquivHodgeTable, n: int) -> _Basis:
-    """The basis of the n-th tensor power by kind, in a fixed deterministic
-    order: each kind with its sign key and its labels."""
+    """The basis of the n-th tensor power by kind, in itertools.product
+    order over the pieces: each kind with its sign key and its labels.
+
+    Kinds grow slot by slot, carrying the bidegree and the -1 eigenspace
+    bitmask as running sums.  A kind's labels depend only on its slot
+    dimensions, so kinds with equal dimensions share one tuple of labels.
+    """
     pieces = [((p, q, eigen), dim) for (p, q), split in table.items()
               for eigen, dim in zip((1, -1), split) if dim]
+    grown = [((), 0, 0, 0, ())]
+    for m in range(n):
+        grown = [(kind + (piece,), p + piece[0], q + piece[1],
+                  minus | (1 << m if piece[2] < 0 else 0), dims + (dim,))
+                 for kind, p, q, minus, dims in grown for piece, dim in pieces]
+    shared: dict[tuple[int, ...], tuple[Label, ...]] = {}
     basis = {}
-    for slots in itertools.product(pieces, repeat=n):
-        kind = tuple(piece for piece, _ in slots)
-        key = ((sum(p for p, _, _ in kind), sum(q for _, q, _ in kind)),
-               sum(1 << m for m, (_, _, eigen) in enumerate(kind) if eigen < 0))
-        basis[kind] = key, list(itertools.product(*(range(dim) for _, dim in slots)))
+    for kind, p, q, minus, dims in grown:
+        if dims not in shared:
+            # through a list: a tuple grown from an iterator rejoins the young
+            # GC generation at each resize, so collections rescan all of it
+            shared[dims] = tuple(list(itertools.product(*map(range, dims))))
+        basis[kind] = ((p, q), minus), shared[dims]
     return basis
 
 

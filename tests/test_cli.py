@@ -217,6 +217,11 @@ USAGE_CASES = [
     (("diamond", "hilb", "2", "-x y"), 2, "usage", "argument subgroup: invalid choice: '-x y'"),
     (("diamond", "--format=a b", "hilb", "2"), 2, "usage",
      "argument --format: invalid choice: 'a b'"),
+    # each use of a repeated option is checked as it is read, not only the last
+    (("diamond", "--format=a b", "--format", "json", "hilb", "2"), 2, "usage",
+     "argument --format: invalid choice: 'a b'"),
+    (("verify-paper", "--n-max", "x", "--n-max", "2"), 2, "usage",
+     "argument --n-max: invalid int value: 'x'"),
     (("-h",), 0, "help", "verify-paper"),
     (("diamond", "-h"), 0, "help", "--preset {" + ",".join(sorted(bigraded.PRESETS)) + "}"),
     (("verify-paper", "--help"), 0, "help", "--n-max"),

@@ -282,6 +282,12 @@ class TestClasses:
                 if which == "G":
                     assert element_census(n) == grouped
 
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_census_matches_the_formula_past_enumeration(self, n):
+        # 46,080 and 645,120 elements, up to 7 cycles per permutation: the
+        # walk's parity words against the cycle-index side
+        assert element_census(n) == [row[:2] for row in census_series(n)[n]]
+
     @pytest.mark.parametrize("which", ["G"])
     def test_census_refuses_a_short_tally(self, which, monkeypatch):
         # a walk that drops one permutation, and so its 2^4 elements, must

@@ -97,6 +97,21 @@ class TestBasis:
             # each label, joined to its kind, is a witness label, once
             assert sorted(labels) == sorted(as_slot_labels(keyed))
             assert len(set(labels)) == len(labels) == table.total_dim() ** n
+            # kinds in product order, each keyed and labeled as one product
+            pieces = [((p, q, eigen), dim) for (p, q), split in table.items()
+                      for eigen, dim in zip((1, -1), split) if dim]
+            slots = list(itertools.product(pieces, repeat=n))
+            assert list(keyed) == [tuple(piece for piece, _ in kind) for kind in slots]
+            shared = {}
+            for kind, (key, kind_labels) in zip(slots, keyed.values()):
+                pq = (sum(p for (p, _, _), _ in kind), sum(q for (_, q, _), _ in kind))
+                minus = sum(1 << m for m, ((_, _, eigen), _) in enumerate(kind) if eigen < 0)
+                dims = tuple(dim for _, dim in kind)
+                assert key == (pq, minus)
+                assert list(kind_labels) == list(itertools.product(*map(range, dims)))
+                # kinds of equal slot dimensions share one immutable tuple
+                assert type(kind_labels) is tuple
+                assert shared.setdefault(dims, kind_labels) is kind_labels
 
     @pytest.mark.parametrize("n", [9, 20])
     def test_sn_enumeration_guard(self, n, monkeypatch):
