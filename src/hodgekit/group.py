@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from collections.abc import Iterator
 
 from .bigraded import IntegralityViolation
@@ -26,9 +25,9 @@ from .bigraded import IntegralityViolation
 #: Bound on explicit work: group elements enumerated, and element x label
 #: checks in the projector oracle.  It also bounds the oracle's basis: the
 #: largest it admits is 500,000 labels at n = 1, and at n = 3 at most
-#: 27^3 = 19,683 labels.  With one piece, so that no kinds share labels,
-#: their projector runs peak at 48 MB and 1.5 MB traced by tracemalloc; the
-#: n = 1 run takes 0.05 s untraced on a 2-core VM.
+#: 27^3 = 19,683 labels.  On a table of one piece (one kind, so no labels
+#: are shared) the projector's peaks, traced by tracemalloc, are 48 MB and
+#: 1.5 MB; untraced, the n = 1 run takes about 0.06 s on a 2-core VM.
 WORK_GUARD = 10 ** 6
 
 GROUPS = ("G", "H")
@@ -114,11 +113,12 @@ def element_census(n: int) -> list[tuple[tuple, int]]:
         cycles = _cycles(perm)
         cycle_bit = {1 << m: 1 << i for i, (_, slots) in enumerate(cycles)
                      for m in range(n) if slots >> m & 1}
-        words = [0] * (1 << n)
+        words, counts = [0] * (1 << n), {0: 1}
         for mask in range(1, 1 << n):
             low = mask & -mask
-            words[mask] = words[mask ^ low] ^ cycle_bit[low]
-        for word, count in Counter(words).items():
+            word = words[mask] = words[mask ^ low] ^ cycle_bit[low]
+            counts[word] = counts.get(word, 0) + 1
+        for word, count in counts.items():
             parts = tuple([(length, word >> i & 1) for i, (length, _) in enumerate(cycles)])
             raw[parts] = raw.get(parts, 0) + count
     tallied = sum(raw.values())

@@ -5,8 +5,9 @@ elements as signed permutations of basis labels, and reads invariant
 dimensions off the averaging projector: per bidegree, the average over the
 group of the signed count of fixed labels.  Labels are index tuples under
 their kind, built once per n; kinds with the same slot dimensions share one
-tuple of labels.  G is walked once, each permutation with every twist mask.  A permutation fixes no label of a kind that differs from itself
-at a moved slot; every label of every other kind is compared slot by slot.
+tuple of labels.  G is walked once, each permutation with every twist mask.
+A permutation fixes no label of a kind that differs from itself at a moved
+slot; every label of every other kind is compared slot by slot.
 Fixed counts are merged by sign key once per permutation, and each element
 signs them into the bidegree sums of each group ``_groups_containing`` names.
 Shares no code with the symmetric-power production route, and only the table
