@@ -21,7 +21,7 @@ from .bigraded import (
     preset,
     tensor,
 )
-from .cover import cover_diamond_n2, exceptional_orbits
+from .cover import cover_diamond_n2, cover_series, exceptional_orbits
 from .group import (
     TooLarge,
     classes,
@@ -49,6 +49,7 @@ __all__ = [
     "class_trace",
     "classes",
     "cover_diamond_n2",
+    "cover_series",
     "direct_sum",
     "enriques",
     "exceptional_orbits",

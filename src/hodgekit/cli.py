@@ -8,18 +8,23 @@
 taking ``--flag value`` or ``--flag=value``, a unique prefix of a flag,
 options between positionals and ``-h``/``--help``; a lone ``-``, a negative
 number such as ``-1`` or ``-.5`` and a word holding a space are values, as
-argparse reads them.  Usage errors are reported as argparse reports them.
+argparse reads them.  Usage errors are reported as argparse reports them,
+but ``hodgekit -x hilb 2`` reports the command missing, not ``hilb`` invalid;
+``diamond quotient 2 -x H`` names ``-x``, not ``-x H``; and ``--=x`` is
+unrecognized, not ambiguous.
 
 Exit codes: 0 success, 1 at least one audit check failed, 2 usage or parse
-error (including ``hilb`` or ``cover`` of a table that is not a surface),
-3 unsupported input: odd-degree cohomology, a ``diamond`` request with n
-above :data:`DIAMOND_N_MAX` or whose diamond's complex dimension exceeds
-:data:`DIAMOND_DIMENSION_MAX`, or a ``verify-paper`` request with
-``--n-max`` above :data:`VERIFY_N_MAX`, rejected before any work; 141 when
-the reader of stdout closed it early (``hodgekit ... | head``), the code a
-shell gives a process killed by SIGPIPE.  A check whose computed value is
-internally consistent but disagrees with a published figure is reported as
-``discrepancy-noted`` and does not fail the run.
+error (including ``hilb`` or ``cover`` of a table that is not a surface, and
+``cover`` below n = 2, or past it of an involution failing Lefschetz's
+necessary conditions for a free one), 3 unsupported input: odd-degree
+cohomology, a ``diamond`` request with n above :data:`DIAMOND_N_MAX` or
+whose diamond's complex dimension exceeds :data:`DIAMOND_DIMENSION_MAX`, or
+a ``verify-paper`` request with ``--n-max`` above :data:`VERIFY_N_MAX`,
+rejected before any work; 141 when the reader of stdout closed it early
+(``hodgekit ... | head``), the code a shell gives a process killed by
+SIGPIPE.  A check whose computed value is internally consistent but
+disagrees with a published figure is reported as ``discrepancy-noted`` and
+does not fail the run.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from .bigraded import (
     load_surface_spec,
     preset,
 )
-from .cover import cover_diamond_n2, exceptional_orbits
+from .cover import cover_diamond_n2, cover_series, exceptional_orbits
 from .group import (
     WHICH,
     TooLarge,
@@ -331,13 +336,10 @@ def cmd_diamond(args) -> int:
         result = invariant_dims(table, n, args.subgroup)
         title = f"quotient of {name}^{n} by {args.subgroup}"
     else:  # cover
-        if n != 2:
-            raise ValueError(
-                f"cover supports n=2 only, got n={n}; weight-2 data for "
-                "larger n is part of verify-paper"
-            )
-        result = cover_diamond_n2(table)
-        title = f"double cover over hilb 2 of the quotient of {name}"
+        if n < 2:
+            raise ValueError(f"cover needs n >= 2, got n={n}")
+        result = cover_series(table, n)[n].forget()
+        title = f"double cover over hilb {n} of the quotient of {name}"
     print(_render_hodge(title, result, args.format))
     return 0
 

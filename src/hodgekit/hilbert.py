@@ -16,12 +16,14 @@ from .bigraded import HodgeTable, _require_plain, _require_surface
 from .invariants import _newton, _power_terms
 
 
-def _goettsche(surface: HodgeTable, n_max: int):
+def _goettsche(surface: HodgeTable, n_max: int, even: HodgeTable | None = None):
+    # at even levels k the seed is even * (uv)^(k-1) if given (cover_series)
     _require_plain(surface)
     _require_surface(surface, "Hilbert schemes need a surface", 2)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    seeds = ({(p + k, q + k): c for (p, q), c in surface.items()} for k in range(n_max))
+    levels = (surface, surface if even is None else even)
+    seeds = ({(p + k, q + k): c for (p, q), c in levels[k % 2].items()} for k in range(n_max))
     return _newton(_power_terms(seeds, n_max), surface.dimension)
 
 

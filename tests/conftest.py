@@ -85,6 +85,40 @@ def evaluate(poly, u, v):
     return sum(c * u ** p * v ** q for (p, q), c in poly.items())
 
 
+def fock_diamond(odd, even, n):
+    """A basis count of the degree-n part of the Fock space of Nakajima and
+    Grojnowski, witness for every Goettsche-type series entry by entry.
+
+    Generators are q_k(alpha), 1 <= k <= n, with alpha running over a basis
+    of ``odd`` at odd k and of ``even`` at even k (plain tables of even
+    degrees, so every generator is bosonic), of bidegree deg alpha +
+    (k - 1, k - 1).  Each monomial q_k1(alpha_1)...q_kr(alpha_r)|0> with
+    k_1 + ... + k_r = n is visited once, as a multiset of generators in
+    sorted order, and tallied at the sum of their bidegrees.  H*(S^[n]) is
+    fock_diamond(S, S, n); the twisted part of the double cover of E^[n] is
+    fock_diamond(V_-, V_+, n).  Counting only, no division and no product:
+    raises group.TooLarge past group.WORK_GUARD monomials."""
+    gens = sorted((k, p + k - 1, q + k - 1) for k in range(1, n + 1)
+                  for (p, q), d in (odd if k % 2 else even).items() for _ in range(d))
+    counts, visited = {}, [0]
+
+    def walk(first, left, p, q):
+        if not left:
+            counts[p, q] = counts.get((p, q), 0) + 1
+            visited[0] += 1
+            if visited[0] > group.WORK_GUARD:
+                raise group.TooLarge(f"more than {group.WORK_GUARD} monomials at n = {n}")
+            return
+        for i in range(first, len(gens)):
+            k, a, b = gens[i]
+            if k > left:
+                break
+            walk(i, left - k, p + a, q + b)
+
+    walk(0, n, 0, 0)
+    return HodgeTable(counts, 2 * n)
+
+
 def corrupt_second_term(monkeypatch, module):
     """Make ``module``'s Newton term builder add one class at (0, 0) to T_2,
     so 2 * X_2 there is off by one from an honest sum."""

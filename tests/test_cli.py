@@ -88,10 +88,27 @@ class TestDiamondCommand:
         assert code == 3 and out == ""
         assert f"n <= {cli.DIAMOND_N_MAX}" in err
 
-    def test_cover_rejects_other_n(self, capsys):
-        code, _, err = run_main(capsys, "diamond", "cover", "3")
-        assert code == 2
-        assert "n=2" in err and "got n=3" in err
+    def test_cover_rejects_other_n(self, capsys, monkeypatch):
+        # cover takes 2 <= n <= DIAMOND_N_MAX; past the bound nothing is loaded
+        code, out, err = run_main(capsys, "diamond", "cover", "1")
+        assert code == 2 and out == ""
+        assert "cover needs n >= 2, got n=1" in err
+
+        def refuse(*args):
+            raise AssertionError("computation started")
+        for name in ("_load_input", "cover_series"):
+            monkeypatch.setattr(cli, name, refuse)
+        code, out, err = run_main(capsys, "diamond", "cover", "41")
+        assert code == 3 and out == ""
+        assert f"n = 41 exceeds the diamond bound n <= {cli.DIAMOND_N_MAX}" in err
+
+    @pytest.mark.parametrize("name, values", [("k3", "24 != 0"), ("enriques", "12 != 0")])
+    def test_cover_past_n2_needs_a_free_involution(self, capsys, name, values):
+        # the trivially split presets keep their formal cover 2
+        code, out, err = run_main(capsys, "diamond", "--preset", name, "cover", "3")
+        assert code == 2 and out == ""
+        assert ("a double cover past n = 2 needs a free involution, but Lefschetz's "
+                f"condition e(V+) = e(V-) fails: {values}") in err
 
     @pytest.mark.parametrize("argv, value", [(("hilb", "0"), "got 0"),
                                              (("quotient", "-2", "H"), "got -2")])
@@ -222,6 +239,13 @@ USAGE_CASES = [
      "argument --format: invalid choice: 'a b'"),
     (("verify-paper", "--n-max", "x", "--n-max", "2"), 2, "usage",
      "argument --n-max: invalid int value: 'x'"),
+    # three departures from argparse, kept as they are: an unknown option
+    # before the command (argparse: "argument command: invalid choice:
+    # 'hilb'"), one between positionals (argparse: "unrecognized arguments:
+    # -x H"), and "--=x", a prefix of every flag (argparse: "ambiguous option")
+    (("-x", "hilb", "2"), 2, "usage", "the following arguments are required: command"),
+    (("diamond", "quotient", "2", "-x", "H"), 2, "usage", "unrecognized arguments: -x\n"),
+    (("diamond", "--=x", "hilb", "2"), 2, "usage", "unrecognized arguments: --=x\n"),
     (("-h",), 0, "help", "verify-paper"),
     (("diamond", "-h"), 0, "help", "--preset {" + ",".join(sorted(bigraded.PRESETS)) + "}"),
     (("verify-paper", "--help"), 0, "help", "--n-max"),

@@ -5,23 +5,35 @@ import re
 import pytest
 
 from hodgekit import cover
-from hodgekit.bigraded import EquivHodgeTable, enriques, k3_enriques
+from hodgekit.bigraded import (
+    PRESETS,
+    EquivHodgeTable,
+    _require_surface,
+    enriques,
+    k3_enriques,
+    load_surface_spec,
+    preset,
+)
 from hodgekit.cover import (
     _class_image,
     center_labels,
     cover_diamond_n2,
+    cover_series,
     exceptional_orbits,
 )
-from hodgekit.hilbert import hilbert_diamond
-from hodgekit.invariants import invariant_dims
+from hodgekit.hilbert import euler_product_coefficients, hilbert_diamond, hilbert_series
+from hodgekit.invariants import invariant_dims, invariant_series
 
 from conftest import (
     enumerate_group,
+    fock_diamond,
     is_symmetric,
     satisfies_duality,
+    seeded_equiv_tables,
     slot_twist,
     transposition,
 )
+from golden.capture import GOLDEN_DIR
 
 
 class TestBlowupAssemble:
@@ -190,3 +202,125 @@ class TestHTopMinus:
         for n in (2, 3, 4):
             inv = invariant_dims(k3_enriques(), n, "H")
             assert inv[1, 2 * n - 1] == 10
+
+
+def is_surface(table):
+    try:
+        _require_surface(table, "", 2)
+    except ValueError:
+        return False
+    return True
+
+
+#: The presets, the golden seeded surface, and every seeded split table
+#: among 1,000 drawn that a surface can have.
+SPLIT_SURFACES = ([preset(name) for name in sorted(PRESETS)]
+                  + [load_surface_spec(GOLDEN_DIR / "specs" / "seeded-surface-3.json")[1]]
+                  + [t for t in seeded_equiv_tables(1000, max_degree=2) if is_surface(t)])
+
+
+@pytest.fixture(scope="module")
+def series():
+    return cover_series(k3_enriques(), 20)
+
+
+def chi(table, p):
+    """chi(Omega^p) of a diamond: sum_q (-1)^q h^{p,q}."""
+    return sum((-1) ** q * table[p, q] for q in range(table.dimension + 1))
+
+
+class TestCoverSeries:
+    def test_invariant_part_is_the_hilbert_series_of_the_quotient(self, series):
+        assert [x.plus_part() for x in series] == hilbert_series(enriques(), 20)
+        assert [x.dimension for x in series] == [2 * n for n in range(21)]
+
+    def test_first_terms_are_two_points_and_the_table(self, series):
+        assert series[0] == EquivHodgeTable({(0, 0): (1, 1)}, 0)
+        assert series[1] == k3_enriques()
+
+    def test_b2_is_the_quotient_b2_plus_the_exceptional_orbits(self, series):
+        assert [x.forget().betti(2) for x in series[2:]] == [12] + [11] * 18
+        quotient = invariant_series(k3_enriques(), 8, "H")
+        for n in range(2, 9):
+            assert series[n].forget().betti(2) == quotient[n].betti(2) + exceptional_orbits(n)
+
+    def test_calabi_yau_column(self, series):
+        for n, x in enumerate(series[2:], 2):
+            x = x.forget()
+            assert [x[p, 0] for p in range(2 * n + 1)] == [1] + [0] * (2 * n - 1) + [1]
+
+    def test_deformations_are_all_twisted(self, series):
+        # h^{2n-1,1}(X) = h^1(T_X), and its twisted part is h^1(T_{E^[n]}):
+        # both are 10, and the invariant part holds none (Theorem 1.1)
+        for n, x in enumerate(series[2:], 2):
+            assert x[2 * n - 1, 1] == (0, 10)
+
+    def test_euler_numbers_are_twice_the_quotients(self, series):
+        assert ([x.forget().euler() for x in series]
+                == [2 * e for e in euler_product_coefficients(12, 20)])
+
+    def test_both_parts_have_the_same_chi_y(self, series):
+        # the deck involution is free, so its trace on each H^*(Omega^p) is 0
+        for x in series:
+            plus, minus = x.plus_part(), x.minus_part()
+            assert [chi(plus, p) for p in range(x.dimension + 1)] == [
+                chi(minus, p) for p in range(x.dimension + 1)]
+            assert is_symmetric(minus) and satisfies_duality(minus)
+
+    def test_n3_values(self, series):
+        x = series[3].forget()
+        assert (x[1, 1], x[2, 1], x[2, 2], x.euler()) == (11, 0, 87, 1040)
+
+    def test_both_parts_equal_the_fock_count(self, series):
+        plus, minus = k3_enriques().plus_part(), k3_enriques().minus_part()
+        for n, x in enumerate(series[:6]):
+            assert x.minus_part() == fock_diamond(minus, plus, n)
+            assert x.plus_part() == fock_diamond(plus, plus, n)
+
+    @pytest.mark.parametrize("table", SPLIT_SURFACES, ids=repr)
+    def test_n2_equals_the_blowup_audit(self, table):
+        x = cover_series(table, 2)
+        assert x[2].forget() == cover_diamond_n2(table)
+        for n in (0, 1, 2):
+            assert x[n].minus_part() == fock_diamond(table.minus_part(),
+                                                     table.plus_part(), n)
+
+    def test_split_surfaces_drawn(self):
+        assert len(SPLIT_SURFACES) == 13
+
+    @pytest.mark.parametrize("table, rule", [
+        (preset("k3"), "e(V+) = e(V-) fails: 24 != 0"),
+        (preset("enriques"), "e(V+) = e(V-) fails: 12 != 0"),
+        (EquivHodgeTable({(0, 0): (1, 0), (1, 1): (4, 6), (2, 2): (1, 0)}, 2),
+         "sum_q (-1)^q (h+^(0,q) - h-^(0,q)) = 0 fails: 1 != 0"),
+    ], ids=["k3", "enriques", "holomorphic"])
+    def test_involution_that_is_not_free_refused_past_n2(self, table, rule, monkeypatch):
+        x = cover_series(table, 2)
+        assert x[2].forget() == cover_diamond_n2(table)
+
+        def refuse(*args):
+            raise AssertionError("series built for an involution that is not free")
+
+        monkeypatch.setattr(cover, "_goettsche", refuse)
+        with pytest.raises(ValueError, match="past n = 2 needs a free involution.*"
+                                             + re.escape(rule)):
+            cover_series(table, 3)
+
+    @pytest.mark.parametrize("table, error, named", [
+        (k3_enriques().forget(), TypeError, "need an EquivHodgeTable"),
+        (EquivHodgeTable({(0, 0): (1, 0)}, 3), ValueError,
+         "the double cover needs a surface (dimension 2), got dimension 3"),
+        (EquivHodgeTable({(0, 0): (1, 1), (2, 2): (1, 0)}, 2), ValueError,
+         "Serre duality fails in the - eigenspace"),
+    ], ids=["plain", "threefold", "not-dual"])
+    def test_non_surface_refused_before_any_term(self, table, error, named, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("series built for a non-surface")
+
+        monkeypatch.setattr(cover, "_goettsche", refuse)
+        with pytest.raises(error, match=re.escape(named)):
+            cover_series(table, 3)
+
+    def test_negative_bound_refused(self):
+        with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+            cover_series(k3_enriques(), -1)

@@ -8,6 +8,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings
 
+from hodgekit import group
 from hodgekit.bigraded import (
     HodgeTable,
     IntegralityViolation,
@@ -15,13 +16,16 @@ from hodgekit.bigraded import (
     enriques,
     k3,
     k3_enriques,
+    load_surface_spec,
     point,
     tensor,
 )
 from hodgekit.hilbert import euler_product_coefficients, hilbert_diamond, hilbert_series
 from hodgekit.invariants import sym_product
 
-from conftest import corrupt_second_term, is_symmetric, satisfies_duality, surfaces
+from conftest import (corrupt_second_term, fock_diamond, is_symmetric, satisfies_duality,
+                      surfaces)
+from golden.capture import GOLDEN_DIR
 
 
 def partitions_of(n):
@@ -210,6 +214,23 @@ class TestHilbertSeries:
         monkeypatch.setattr(mod, "_power_terms", refuse)
         with pytest.raises(TypeError, match=r"got EquivHodgeTable; call \.forget\(\)"):
             build(k3_enriques(), 2)
+
+    @pytest.mark.parametrize("surface, n_max", [
+        (k3(), 4), (enriques(), 6),
+        (load_surface_spec(GOLDEN_DIR / "specs" / "seeded-surface-3.json")[1].forget(), 4),
+    ], ids=["k3", "enriques", "seeded-surface-3"])
+    def test_every_entry_equals_the_fock_count(self, surface, n_max):
+        # a basis count of Nakajima monomials, with no Newton step
+        assert hilbert_series(surface, n_max) == [fock_diamond(surface, surface, n)
+                                                  for n in range(n_max + 1)]
+
+
+def test_fock_count_is_bounded_by_the_work_guard(monkeypatch):
+    monkeypatch.setattr(group, "WORK_GUARD", 323)
+    with pytest.raises(group.TooLarge, match="more than 323 monomials at n = 2"):
+        fock_diamond(k3(), k3(), 2)
+    monkeypatch.setattr(group, "WORK_GUARD", 324)
+    assert fock_diamond(k3(), k3(), 2).total_dim() == 324
 
 def series_euler(surface, n_max):
     return [d.euler() for d in hilbert_series(surface, n_max)]

@@ -43,8 +43,8 @@ from hodgekit.invariants import (
 )
 from hodgekit.oracle import projector_tables
 
-from conftest import (corrupt_second_term, equiv_tables, evaluate, is_symmetric,
-                      satisfies_duality, seeded_equiv_tables, surfaces)
+from conftest import (corrupt_second_term, equiv_tables, evaluate, fock_diamond,
+                      is_symmetric, satisfies_duality, seeded_equiv_tables, surfaces)
 from golden.capture import GOLDEN_DIR
 
 
@@ -770,14 +770,16 @@ def test_seeded_diamonds_meet_necessary_conditions(layout, monkeypatch):
         assert_necessary(x, unit=False)
 
 
+def doubled(seeds, n):
+    """Newton terms of Goettsche's seeds with the k = 2 seed taken twice."""
+    seeds = list(seeds)
+    seeds[1] = {pq: 2 * c for pq, c in seeds[1].items()}
+    return _power_terms(seeds, n)
+
+
 def test_only_euler_numbers_catch_a_doubled_goettsche_seed(monkeypatch):
     # a kernel fed twice Goettsche's k = 2 seed keeps the other necessary
     # conditions for n <= 6; its Euler numbers are off from n = 2
-    def doubled(seeds, n):
-        seeds = list(seeds)
-        seeds[1] = {pq: 2 * c for pq, c in seeds[1].items()}
-        return _power_terms(seeds, n)
-
     monkeypatch.setattr(hilbert, "_power_terms", doubled)
     series = hilbert_series(k3(), 6)
     for x in series:
@@ -786,6 +788,15 @@ def test_only_euler_numbers_catch_a_doubled_goettsche_seed(monkeypatch):
     assert got[:2] == want[:2]
     assert (got[2], want[2]) == (348, 324)
     assert all(g != w for g, w in zip(got[2:], want[2:]))
+
+
+def test_fock_count_catches_a_doubled_goettsche_seed_entry_by_entry(monkeypatch):
+    # the basis count tells the doubled seed apart where the necessary
+    # conditions see nothing: it is short by the extra seed S * uv at n = 2
+    monkeypatch.setattr(hilbert, "_power_terms", doubled)
+    got, want = hilbert_series(k3(), 2)[2], fock_diamond(k3(), k3(), 2)
+    assert {pq: got[pq] - want[pq] for pq in got.support() if got[pq] != want[pq]} == {
+        (p + 1, q + 1): d for (p, q), d in k3().items()}
 
 
 class TestSymProduct:

@@ -125,7 +125,7 @@ AUDIT_ENTRIES = _defined_in("group", "oracle") + [
     "class_sum_dims", "class_trace", "euler_product_coefficients", "exceptional_orbits",
     "cover_diamond_n2", "_product", "_average"]
 PRODUCTION_ENTRIES = ["invariant_dims", "invariant_series", "sym_powers", "sym_product",
-                      "hilbert_series", "hilbert_diamond"]
+                      "hilbert_series", "hilbert_diamond", "cover_series"]
 
 
 def _call_graph(trees):
@@ -203,3 +203,10 @@ def test_audit_and_production_routes_share_no_path():
     crossings += [(entry, name) for entry in PRODUCTION_ENTRIES
                   for name in sorted(_reach(graph, entry) & set(AUDIT_ENTRIES))]
     assert crossings == []
+
+
+def test_diamond_command_reaches_no_audit_route():
+    # every diamond the CLI prints comes from the production kernel; the
+    # audit routes are read by verify-paper alone
+    reached = _reach(_call_graph(SRC.values()), "cmd_diamond")
+    assert sorted(reached & set(AUDIT_ENTRIES)) == []

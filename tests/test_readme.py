@@ -44,7 +44,7 @@ def test_cli_examples_exit_0(capsys):
     commands = [shlex.split(line.partition("#")[0])
                 for block in blocks for line in block.splitlines()]
     assert [argv[:2] for argv in commands] == (
-        [["hodgekit", "diamond"]] * 5 + [["hodgekit", "verify-paper"]] * 2)
+        [["hodgekit", "diamond"]] * 6 + [["hodgekit", "verify-paper"]] * 2)
     for argv in commands:
         assert cli.main(argv[1:]) == 0, argv
         assert capsys.readouterr().out
