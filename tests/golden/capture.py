@@ -22,6 +22,7 @@ SIZES = (2, 5, 8)
 #: Hilbert schemes are also pinned at larger n, where the assembly of the
 #: generating function does most of its work.
 HILB_SIZES = (14, 20)
+COVER_SIZES = (3, 5, 8, 20)
 OPERATIONS = (("hilb",), ("sym",), ("quotient", "Sn"), ("quotient", "G"),
               ("quotient", "H"))
 #: Surface-spec inputs read with --spec, each with the operations pinned on
@@ -72,6 +73,11 @@ def cases() -> list[tuple[str, list[str]]]:
            ("diamond-k3_enriques-quotient-H-40.json",
             ["diamond", "--preset", "k3_enriques", "--format", "json",
              "quotient", "40", "H"])]
+    # The double cover past n = 2, where only the free involution is taken.
+    for n in COVER_SIZES:
+        out.append((f"diamond-k3_enriques-cover-{n}.json",
+                    ["diamond", "--preset", "k3_enriques", "--format", "json",
+                     "cover", str(n)]))
     for preset in PRESETS:
         for op, *group in OPERATIONS:
             for n in SIZES:
