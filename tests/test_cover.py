@@ -217,6 +217,8 @@ def is_surface(table):
 SPLIT_SURFACES = ([preset(name) for name in sorted(PRESETS)]
                   + [load_surface_spec(GOLDEN_DIR / "specs" / "seeded-surface-3.json")[1]]
                   + [t for t in seeded_equiv_tables(1000, max_degree=2) if is_surface(t)])
+SPLIT_SURFACE_IDS = [*sorted(PRESETS), "seeded-surface-3",
+                     *(f"drawn-{i}" for i in range(len(SPLIT_SURFACES) - 4))]
 
 
 @pytest.fixture(scope="module")
@@ -277,7 +279,7 @@ class TestCoverSeries:
             assert x.minus_part() == fock_diamond(minus, plus, n)
             assert x.plus_part() == fock_diamond(plus, plus, n)
 
-    @pytest.mark.parametrize("table", SPLIT_SURFACES, ids=repr)
+    @pytest.mark.parametrize("table", SPLIT_SURFACES, ids=SPLIT_SURFACE_IDS)
     def test_n2_equals_the_blowup_audit(self, table):
         x = cover_series(table, 2)
         assert x[2].forget() == cover_diamond_n2(table)
