@@ -232,6 +232,7 @@ def test_fock_count_is_bounded_by_the_work_guard(monkeypatch):
     monkeypatch.setattr(group, "WORK_GUARD", 324)
     assert fock_diamond(k3(), k3(), 2).total_dim() == 324
 
+
 def series_euler(surface, n_max):
     return [d.euler() for d in hilbert_series(surface, n_max)]
 

@@ -792,7 +792,7 @@ def test_only_euler_numbers_catch_a_doubled_goettsche_seed(monkeypatch):
 
 def test_fock_count_catches_a_doubled_goettsche_seed_entry_by_entry(monkeypatch):
     # the basis count tells the doubled seed apart where the necessary
-    # conditions see nothing: it is short by the extra seed S * uv at n = 2
+    # conditions see nothing: the kernel exceeds it by the extra S * uv at n = 2
     monkeypatch.setattr(hilbert, "_power_terms", doubled)
     got, want = hilbert_series(k3(), 2)[2], fock_diamond(k3(), k3(), 2)
     assert {pq: got[pq] - want[pq] for pq in got.support() if got[pq] != want[pq]} == {
